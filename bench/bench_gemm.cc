@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,10 +24,12 @@
 #include "src/models/cnn.h"
 #include "src/models/mlp.h"
 #include "src/nn/activations.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
 #include "src/nn/fusion.h"
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
+#include "src/nn/serialize.h"
 #include "src/tensor/activation_arena.h"
 #include "src/tensor/activation_planner.h"
 #include "src/tensor/epilogue.h"
@@ -43,7 +46,7 @@ using Clock = std::chrono::steady_clock;
 
 using GemmFn = void (*)(bool, bool, int64_t, int64_t, int64_t, float,
                         const float*, int64_t, const float*, int64_t, float,
-                        float*, int64_t);
+                        float*, int64_t, const ops::Epilogue&);
 
 struct Shape {
   const char* label;
@@ -57,13 +60,13 @@ double TimeGemm(GemmFn fn, const Shape& s, const Tensor& a, const Tensor& b,
   const int64_t ldb = s.ldb ? s.ldb : s.n;
   // One untimed call to warm caches and the compute pool.
   fn(false, false, s.m, s.n, s.k, 1.0f, a.data(), lda, b.data(), ldb, 0.0f,
-     c->data(), s.n);
+     c->data(), s.n, {});
   int iters = 0;
   const auto start = Clock::now();
   double elapsed = 0.0;
   while (elapsed < min_seconds || iters < 3) {
     fn(false, false, s.m, s.n, s.k, 1.0f, a.data(), lda, b.data(), ldb, 0.0f,
-       c->data(), s.n);
+       c->data(), s.n, {});
     ++iters;
     elapsed = std::chrono::duration<double>(Clock::now() - start).count();
   }
@@ -91,6 +94,133 @@ double TimeCall(double min_seconds, Call&& call) {
   }
   return best;
 }
+
+/// Clears every activation the fusion pass planted, so the producers write
+/// their plain outputs and the ReLU/Tanh modules run again. FuseActivations
+/// re-plants them.
+void ClearFusionMarks(Module* m) {
+  if (auto* seq = dynamic_cast<Sequential*>(m)) {
+    for (size_t i = 0; i < seq->size(); ++i) ClearFusionMarks(seq->child(i));
+  } else if (auto* d = dynamic_cast<Dense*>(m)) {
+    d->SetFusedActivation(ops::EpiAct::kNone);
+  } else if (auto* c = dynamic_cast<Conv2d*>(m)) {
+    c->SetFusedActivation(ops::EpiAct::kNone);
+  } else if (auto* gn = dynamic_cast<GroupNorm*>(m)) {
+    gn->SetFusedActivation(ops::EpiAct::kNone);
+  } else if (auto* relu = dynamic_cast<ReLU*>(m)) {
+    relu->set_fused(false);
+  } else if (auto* th = dynamic_cast<Tanh*>(m)) {
+    th->set_fused(false);
+  }
+}
+
+/// The pre-fusion inference forward, rebuilt from public pieces for the
+/// fusion section's "unfused" column: every Dense runs its prepacked GEMM
+/// with an empty epilogue and then a separate bias pass; every Lstm runs
+/// its gate GEMMs, a bias pass and the gate nonlinearities in its
+/// pointwise loop; every other module (convs without bias, norms, the
+/// standalone ReLU/Tanh modules) runs its own Forward. Walk a model whose
+/// fusion marks were cleared, at full rate (where Dense/Lstm rescale by 1).
+class UnfusedPipeline {
+ public:
+  Tensor Forward(Module* m, const Tensor& x) {
+    if (auto* seq = dynamic_cast<Sequential*>(m)) {
+      Tensor h = x;
+      for (size_t i = 0; i < seq->size(); ++i) h = Forward(seq->child(i), h);
+      return h;
+    }
+    if (auto* d = dynamic_cast<Dense*>(m)) return DenseForward(*d, x);
+    if (auto* l = dynamic_cast<Lstm*>(m)) return LstmForward(*l, x);
+    return m->Forward(x, /*training=*/false);
+  }
+
+ private:
+  Tensor DenseForward(const Dense& d, const Tensor& x) {
+    const DenseOptions& o = d.options();
+    std::vector<ops::PackedMatrix>& packs = packs_[&d];
+    packs.resize(1);
+    ops::EnsurePackedB(true, o.in_features, o.out_features,
+                       d.weight().data(), o.in_features, &packs[0]);
+    const int64_t batch = x.dim(0);
+    const int64_t k = d.active_in();
+    const int64_t n = d.active_out();
+    Tensor y = Tensor::Uninit({batch, n});
+    ops::GemmPrepackedB(false, batch, n, k, 1.0f, x.data(), k, packs[0],
+                        0.0f, y.data(), n);
+    if (o.bias) {
+      for (int64_t i = 0; i < batch; ++i) {
+        float* row = y.data() + i * n;
+        for (int64_t j = 0; j < n; ++j) row[j] += d.bias()[j];
+      }
+    }
+    return y;
+  }
+
+  Tensor LstmForward(Lstm& l, const Tensor& x) {
+    std::vector<ParamRef> params;
+    l.CollectParams(&params);  // .wx (4H x I), .wh (4H x H), .b (4H)
+    const Tensor& wx = *params[0].param;
+    const Tensor& wh = *params[1].param;
+    const float* bias = params[2].param->data();
+    const int64_t hid = wh.dim(1);
+    const int64_t in = wx.dim(1);
+    std::vector<ops::PackedMatrix>& packs = packs_[&l];
+    packs.resize(8);
+    for (int gate = 0; gate < 4; ++gate) {
+      ops::EnsurePackedB(true, in, hid, wx.data() + gate * hid * in, in,
+                         &packs[gate]);
+      ops::EnsurePackedB(true, hid, hid, wh.data() + gate * hid * hid, hid,
+                         &packs[4 + gate]);
+    }
+    const int64_t steps = x.dim(0);
+    const int64_t batch = x.dim(1);
+    const int64_t bn = batch * hid;
+    // Gate pre-activations, state, and the seven per-step caches the layer
+    // keeps for backward.
+    scratch_.resize(static_cast<size_t>((4 + 2 + 7 * steps) * bn));
+    float* z = scratch_.data();
+    float* c = z + 4 * bn;
+    float* zeros = c + bn;
+    float* caches = zeros + bn;
+    std::fill(c, zeros + bn, 0.0f);
+    Tensor out = Tensor::Uninit({steps, batch, hid});
+    for (int64_t t = 0; t < steps; ++t) {
+      const float* xt = x.data() + t * batch * in;
+      const float* h_prev = t == 0 ? zeros : out.data() + (t - 1) * bn;
+      for (int gate = 0; gate < 4; ++gate) {
+        float* zg = z + gate * bn;
+        ops::GemmPrepackedB(false, batch, hid, in, 1.0f, xt, in,
+                            packs[gate], 0.0f, zg, hid);
+        ops::GemmPrepackedB(false, batch, hid, hid, 1.0f, h_prev, hid,
+                            packs[4 + gate], 1.0f, zg, hid);
+        for (int64_t i = 0; i < batch; ++i) {
+          for (int64_t j = 0; j < hid; ++j) {
+            zg[i * hid + j] += bias[gate * hid + j];
+          }
+        }
+      }
+      float* h_out = out.data() + t * bn;
+      float* sc = caches + 7 * t * bn;
+      for (int64_t idx = 0; idx < bn; ++idx) {
+        const float iv = ops::detail::EpiSigmoid(z[idx]);
+        const float fv = ops::detail::EpiSigmoid(z[bn + idx]);
+        const float gv = std::tanh(z[2 * bn + idx]);
+        const float ov = ops::detail::EpiSigmoid(z[3 * bn + idx]);
+        const float cv = fv * c[idx] + iv * gv;
+        const float tc = std::tanh(cv);
+        const float hv = ov * tc;
+        const float cached[7] = {iv, fv, gv, ov, cv, tc, hv};
+        for (int q = 0; q < 7; ++q) sc[q * bn + idx] = cached[q];
+        c[idx] = cv;
+        h_out[idx] = hv;
+      }
+    }
+    return out;
+  }
+
+  std::map<const Module*, std::vector<ops::PackedMatrix>> packs_;
+  std::vector<float> scratch_;
+};
 
 /// One row of the int8 section: fp32-prepacked vs int8-quantized at a
 /// (shape, slice rate) operating point. `serving` rows feed the
@@ -437,14 +567,16 @@ int Main() {
   // -------------------------------------------------------------------------
   // Fused epilogues + planned activation arena (epilogue.h, fusion.h,
   // activation_planner.h). Each row times one serving-shaped model forward
-  // with the epilogue toggle on vs off: "unfused" runs the pre-fusion
-  // pipeline (separate bias loops, standalone ReLU/Tanh passes with their
-  // tensor copy and mask), "fused" applies the same math at C-writeback
-  // (bitwise identical — tests/fusion_test.cc). The geomean feeds
+  // two ways: "fused" is the model as built, applying bias and planted
+  // activations at C-writeback; "unfused" walks a parameter-copied twin
+  // with its fusion marks cleared through UnfusedPipeline, the pre-fusion
+  // pipeline (GEMM, separate bias loops, standalone ReLU/Tanh passes with
+  // their tensor copy and mask). Both compute the same bits
+  // (tests/fusion_test.cc). The geomean feeds
   // MS_BENCH_FUSION_GATE; MS_BENCH_FUSION_OUT writes the rows plus the
   // planned arena footprint at each slice rate as JSONL (the checked-in
   // bench_results/BENCH_FUSION.json).
-  bench::PrintTitle("fused epilogues: serving-shape layer fwd, toggle on vs off");
+  bench::PrintTitle("fused epilogues: serving-shape layer fwd, fused vs unfused");
   std::printf("%-16s %12s %14s %9s\n", "layer", "fused ms/s", "unfused ms/s",
               "speedup");
   bench::PrintRule();
@@ -466,55 +598,72 @@ int Main() {
   // killed post-GEMM passes the gate is about.
   std::vector<FusionRow> fusion_rows;
   std::vector<FusionRow> model_rows;
-  auto time_toggle = [&](const std::string& label, Module* net,
+  UnfusedPipeline unfused;
+  // `twin` is a second build of `net`'s architecture.
+  auto time_fusion = [&](const std::string& label, Module* net, Module* twin,
                          const Tensor& x, int64_t samples, bool gated) {
+    if (!CopyParams(net, twin).ok()) std::abort();
+    ClearFusionMarks(twin);
     FusionRow row;
     row.label = label;
-    auto call = [&] {
-      Tensor y = net->Forward(x, /*training=*/false);
-      fusion_sink += y.data()[0];
-    };
-    ops::SetFuseEpilogues(true);
-    row.fused_ms = 1e3 * TimeCall(min_s, call) / samples;
-    ops::SetFuseEpilogues(false);
-    row.unfused_ms = 1e3 * TimeCall(min_s, call) / samples;
-    ops::SetFuseEpilogues(true);
+    row.fused_ms = 1e3 *
+                   TimeCall(min_s,
+                            [&] {
+                              Tensor y = net->Forward(x, /*training=*/false);
+                              fusion_sink += y.data()[0];
+                            }) /
+                   samples;
+    row.unfused_ms = 1e3 *
+                     TimeCall(min_s,
+                              [&] {
+                                Tensor y = unfused.Forward(twin, x);
+                                fusion_sink += y.data()[0];
+                              }) /
+                     samples;
     (gated ? fusion_rows : model_rows).push_back(row);
   };
 
   // Dense + ReLU at serving batches: bias and activation fold into the
   // prepacked GEMM's C-writeback; unfused runs the separate bias pass and
   // the standalone ReLU module (tensor copy + mask + pass).
-  auto dense_relu = std::make_unique<Sequential>("dense_relu");
-  {
+  auto make_dense_relu = [&] {
+    auto net = std::make_unique<Sequential>("dense_relu");
     DenseOptions o;
     o.in_features = 512;
     o.out_features = 512;
     o.bias = true;
-    dense_relu->Emplace<Dense>(o, &rng, "dense");
-    dense_relu->Emplace<ReLU>();
-    FuseActivations(dense_relu.get());
-  }
+    net->Emplace<Dense>(o, &rng, "dense");
+    net->Emplace<ReLU>();
+    FuseActivations(net.get());
+    return net;
+  };
+  auto dense_relu = make_dense_relu();
+  auto dense_relu_twin = make_dense_relu();
   Tensor dense_x1 = Tensor::Randn({1, 512}, &rng);
   Tensor dense_x8 = Tensor::Randn({8, 512}, &rng);
-  time_toggle("dense512-b1", dense_relu.get(), dense_x1, 1, /*gated=*/true);
-  time_toggle("dense512-b8", dense_relu.get(), dense_x8, 8, /*gated=*/true);
+  time_fusion("dense512-b1", dense_relu.get(), dense_relu_twin.get(),
+              dense_x1, 1, /*gated=*/true);
+  time_fusion("dense512-b8", dense_relu.get(), dense_relu_twin.get(),
+              dense_x8, 8, /*gated=*/true);
 
   // GroupNorm + ReLU block tails at vgg13's stage map shapes: fused
   // applies the activation at the norm's own write site (one extra
   // in-cache sweep) instead of the module's copy + mask + pass.
-  std::vector<std::unique_ptr<Sequential>> gn_blocks;
   auto gn_relu_row = [&](int64_t ch, int64_t hw, const char* label) {
-    auto block = std::make_unique<Sequential>(label);
-    NormOptions n;
-    n.channels = ch;
-    n.groups = 8;
-    block->Emplace<GroupNorm>(n, label);
-    block->Emplace<ReLU>();
-    FuseActivations(block.get());
+    auto make_block = [&] {
+      auto block = std::make_unique<Sequential>(label);
+      NormOptions n;
+      n.channels = ch;
+      n.groups = 8;
+      block->Emplace<GroupNorm>(n, label);
+      block->Emplace<ReLU>();
+      FuseActivations(block.get());
+      return block;
+    };
+    auto block = make_block();
+    auto twin = make_block();
     Tensor x = Tensor::Randn({1, ch, hw, hw}, &rng);
-    time_toggle(label, block.get(), x, 1, /*gated=*/true);
-    gn_blocks.push_back(std::move(block));
+    time_fusion(label, block.get(), twin.get(), x, 1, /*gated=*/true);
   };
   gn_relu_row(64, 32, "gn64x32x32-b1");
   gn_relu_row(128, 16, "gn128x16x16-b1");
@@ -525,11 +674,13 @@ int Main() {
   lcfg.groups = 8;
   lcfg.slice_in = false;
   Lstm lstm_layer(lcfg, &rng);
+  Lstm lstm_twin(lcfg, &rng);
   // One serving step: the four gate activations (sigmoid x3, tanh) fuse
   // into the gate GEMMs' writeback; the libm calls themselves are paid by
   // both paths, so this row prices only the killed pre-activation sweeps.
   Tensor lstm_cell_x = Tensor::Randn({1, 1, 512}, &rng);
-  time_toggle("lstm-cell-b1", &lstm_layer, lstm_cell_x, 1, /*gated=*/true);
+  time_fusion("lstm-cell-b1", &lstm_layer, &lstm_twin, lstm_cell_x, 1,
+              /*gated=*/true);
 
   MlpConfig mcfg;
   mcfg.in_features = 512;
@@ -537,9 +688,11 @@ int Main() {
   mcfg.num_classes = 10;
   mcfg.group_norm = true;
   auto mlp = MakeMlp(mcfg).MoveValueOrDie();
+  auto mlp_twin = MakeMlp(mcfg).MoveValueOrDie();
   Tensor mlp_x1 = Tensor::Randn({1, 512}, &rng);
   Tensor mlp_x8 = Tensor::Randn({8, 512}, &rng);
-  time_toggle("mlp-b8", mlp.get(), mlp_x8, 8, /*gated=*/true);
+  time_fusion("mlp-b8", mlp.get(), mlp_twin.get(), mlp_x8, 8,
+              /*gated=*/true);
 
   // Full-model rows (reported, ungated).
   CnnConfig vcfg;
@@ -549,12 +702,16 @@ int Main() {
   vcfg.stages = 3;
   vcfg.blocks_per_stage = 2;
   auto vgg = MakeVggSmall(vcfg).MoveValueOrDie();
+  auto vgg_twin = MakeVggSmall(vcfg).MoveValueOrDie();
   Tensor vgg_x = Tensor::Randn({1, 3, 32, 32}, &rng);
-  time_toggle("vgg13-b1", vgg.get(), vgg_x, 1, /*gated=*/false);
-  time_toggle("mlp-b1", mlp.get(), mlp_x1, 1, /*gated=*/false);
+  time_fusion("vgg13-b1", vgg.get(), vgg_twin.get(), vgg_x, 1,
+              /*gated=*/false);
+  time_fusion("mlp-b1", mlp.get(), mlp_twin.get(), mlp_x1, 1,
+              /*gated=*/false);
   const int64_t lstm_t = bench::FastMode() ? 4 : 16;
   Tensor lstm_x = Tensor::Randn({lstm_t, 1, 512}, &rng);
-  time_toggle("lstm-b1", &lstm_layer, lstm_x, 1, /*gated=*/false);
+  time_fusion("lstm-b1", &lstm_layer, &lstm_twin, lstm_x, 1,
+              /*gated=*/false);
 
   double fusion_log_sum = 0.0;
   auto print_row = [&](const FusionRow& row) {
@@ -689,7 +846,6 @@ int Main() {
   }
 
   ops::PublishPackMetrics();
-  ops::PublishQuantMetrics();
   return rc;
 }
 

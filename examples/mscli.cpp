@@ -294,12 +294,20 @@ int Summary(const Flags& flags) {
   loaded.net->SetPrecision(precision);
   Tensor sample({1, loaded.split.test.channels, loaded.split.test.height,
                  loaded.split.test.width});
+  // Warm up at the requested rate and precision first: the first forward
+  // pays for weight packing and first-touch allocations, which would
+  // otherwise dominate the per-layer times (a warm first conv runs in a
+  // few µs).
+  const double rate = flags.GetDouble("rate", 1.0);
+  loaded.net->SetSliceRate(rate);
+  for (int i = 0; i < 3; ++i) {
+    (void)loaded.net->Forward(sample, /*training=*/false);
+  }
   // Summarize under a profiler session so the table gains measured
   // per-layer forward times.
   obs::SliceProfiler profiler;
   obs::ProfilerScope scope(&profiler);
-  const ModelSummary summary = Summarize(
-      loaded.net.get(), sample, flags.GetDouble("rate", 1.0));
+  const ModelSummary summary = Summarize(loaded.net.get(), sample, rate);
   std::fputs(FormatSummary(summary).c_str(), stdout);
   return 0;
 }

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "src/nn/module.h"
-#include "src/tensor/epilogue.h"
 
 namespace ms {
 
@@ -39,11 +38,9 @@ class ReLU : public Module {
 
   /// Marked by the fusion pass (nn/fusion.h): the preceding layer applies
   /// this activation in its GEMM epilogue, so the inference forward skips
-  /// this module. Training and the toggle-off path still run it.
+  /// this module. Training still runs it (the mask feeds backward).
   void set_fused(bool fused) { fused_ = fused; }
-  bool BypassedAtInference() const override {
-    return fused_ && ops::FuseEpiloguesEnabled();
-  }
+  bool BypassedAtInference() const override { return fused_; }
 
  private:
   std::vector<uint8_t> mask_;
@@ -74,9 +71,7 @@ class Tanh : public Module {
 
   /// See ReLU::set_fused.
   void set_fused(bool fused) { fused_ = fused; }
-  bool BypassedAtInference() const override {
-    return fused_ && ops::FuseEpiloguesEnabled();
-  }
+  bool BypassedAtInference() const override { return fused_; }
 
  private:
   Tensor cached_y_;

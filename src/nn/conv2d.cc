@@ -34,9 +34,12 @@ Conv2d::Conv2d(Conv2dOptions opts, Rng* rng, std::string name)
     b_grad_ = Tensor::Zeros({opts_.out_channels});
   }
   const int64_t kk = opts_.kernel * opts_.kernel;
+  std::vector<int64_t> in_k_ends;
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g) * kk);
+    in_k_ends.push_back(in_spec_.GroupBoundary(g) * kk);
   }
+  matmul_ = SlicedMatmul(SlicedMatmul::Role::kLeft, &w_, 0,
+                         opts_.out_channels, fan_in, std::move(in_k_ends));
 }
 
 void Conv2d::DoSetSliceRate(double r) {
@@ -57,7 +60,6 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const int64_t ow = (w + 2 * opts_.pad - k) / opts_.stride + 1;
   MS_CHECK(oh >= 1 && ow >= 1);
 
-  (void)training;
   // Copy-assign reuses capacity when shapes repeat, so steady-state
   // forwards stay allocation-free.
   cached_x_ = x;
@@ -70,31 +72,18 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const int64_t n = active_out_;
   const int64_t col_rows = m * k * k;
   const int64_t out_area = oh * ow;
-  const int64_t ld_w = opts_.in_channels * k * k;
 
-  // Inference fuses bias (per output channel == C row) and any planted
-  // activation into the GEMM's C-writeback; training keeps the separate
-  // bias pass.
-  const bool fuse = !training && ops::FuseEpiloguesEnabled();
+  // Bias (per output channel == C row) always rides the GEMM's
+  // C-writeback; a planted activation only at inference.
   ops::Epilogue epi;
-  if (fuse) {
-    if (opts_.bias) epi.bias = b_.data();
-    epi.act = fused_act_;
-    epi.per_row = true;
-  }
+  if (opts_.bias) epi.bias = b_.data();
+  if (!training) epi.act = fused_act_;
+  epi.per_row = true;
   Tensor y = Tensor::Uninit({batch, n, oh, ow});
   const float* xd = x.data();
   float* yd = y.data();
   // Pack W once, outside the parallel region (workers then only read).
-  // Int8 is inference-only; training always contracts in fp32.
-  const bool int8 = precision_ == Precision::kInt8 && !training;
-  if (int8) {
-    ops::EnsureQuantizedB(/*trans_b=*/true, ld_w, opts_.out_channels,
-                          w_.data(), ld_w, in_k_ends_, &qpack_t_);
-  } else {
-    ops::EnsurePackedA(/*trans_a=*/false, opts_.out_channels, ld_w,
-                       w_.data(), ld_w, &wpack_);
-  }
+  matmul_.Prepare(precision_, training);
   // Parallel over images: each worker owns an im2col buffer from its own
   // arena; output planes are disjoint. With batch == 1 the single shard
   // runs on the caller, where the GEMM itself may go parallel.
@@ -107,23 +96,8 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
                   cols);
       // y_img(n, out_area) = W[0:n, 0:m*k*k] * cols. The prefix of the
       // full-stride pack keeps the inactive input-channel columns out.
-      if (int8) {
-        ops::GemmQuantizedWeightAEx(n, out_area, col_rows, qpack_t_, cols,
-                                    out_area, 0.0f, yd + img * n * out_area,
-                                    out_area, epi);
-      } else {
-        ops::GemmPrepackedAEx(n, out_area, col_rows, wpack_, false, cols,
-                              out_area, 0.0f, yd + img * n * out_area,
-                              out_area, epi);
-      }
-      if (opts_.bias && !fuse) {
-        float* yi = yd + img * n * out_area;
-        for (int64_t c = 0; c < n; ++c) {
-          const float bv = b_[c];
-          float* plane = yi + c * out_area;
-          for (int64_t p = 0; p < out_area; ++p) plane[p] += bv;
-        }
-      }
+      matmul_.Apply(out_area, n, col_rows, 1.0f, cols, 0.0f,
+                    yd + img * n * out_area, epi);
     }
   });
   return y;
@@ -164,9 +138,8 @@ Tensor Conv2d::DoBackward(const Tensor& grad_out) {
   const float* xd = cached_x_.data();
   const float* gd = grad_out.data();
   float* gid = grad_in.data();
-  // dcols consumes op(A) = W^T; pack once before the shard fan-out.
-  ops::EnsurePackedA(/*trans_a=*/true, ld_w, opts_.out_channels, w_.data(),
-                     ld_w, &wpack_t_);
+  // dcols consumes W^T; pack once before the shard fan-out.
+  matmul_.Prepare(Precision::kFp32, /*training=*/true);
   ops::ParallelForCompute(shards, [&](int64_t s0, int64_t s1) {
     ScratchArena& warena = ScratchArena::ForThread();
     ScratchArena::Scope wscope(warena);
@@ -187,8 +160,8 @@ Tensor Conv2d::DoBackward(const Tensor& grad_out) {
         ops::Gemm(false, true, n, col_rows, out_area, 1.0f, g, out_area,
                   cols, out_area, 1.0f, wg, col_rows);
         // dcols = W^T(col_rows, n) * g(n, out_area)
-        ops::GemmPrepackedA(col_rows, out_area, n, wpack_t_, false, g,
-                            out_area, 0.0f, grad_cols, out_area);
+        matmul_.ApplyTransposed(out_area, n, col_rows, 1.0f, g, 0.0f,
+                                grad_cols);
         ops::Col2Im(grad_cols, m, h, w, k, opts_.stride, opts_.pad,
                     gid + img * m * h * w);
         if (bg) {

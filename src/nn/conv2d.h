@@ -6,6 +6,7 @@
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
@@ -76,19 +77,10 @@ class Conv2d : public Module {
   Tensor w_grad_;
   Tensor b_grad_;
 
-  // Prepacked full-size W panels in the GEMM's A role (W is the left
-  // operand of the im2col product); sliced channels read a prefix.
-  // Ensured BEFORE the batch-parallel regions so workers share them
-  // read-only. _t = W^T for the backward dcols path.
-  ops::PackedMatrix wpack_;
-  ops::PackedMatrix wpack_t_;
-
-  /// Int8 forward path: W^T quantized per (input-channel slice group x k*k
-  /// segment, output channel) — the SAME pack format Dense uses; the conv
-  /// GEMM consumes it through GemmQuantizedWeightA's transposed merge.
-  ops::QuantizedPack qpack_t_;
-  /// K segment ends of W^T: input group boundaries scaled by k*k.
-  std::vector<int64_t> in_k_ends_;
+  /// W as the left operand of the im2col product; sliced channels read a
+  /// prefix. K segments (int8 scale groups) are the input groups scaled
+  /// by k*k.
+  SlicedMatmul matmul_;
 
   Tensor cached_x_;       ///< compact input (B, m, H, W)
   ops::EpiAct fused_act_ = ops::EpiAct::kNone;

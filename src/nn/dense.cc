@@ -30,9 +30,13 @@ Dense::Dense(DenseOptions opts, Rng* rng, std::string name)
     b_ = Tensor::Zeros({opts_.out_features});
     b_grad_ = Tensor::Zeros({opts_.out_features});
   }
+  std::vector<int64_t> in_k_ends;
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g) * opts_.in_unit);
+    in_k_ends.push_back(in_spec_.GroupBoundary(g) * opts_.in_unit);
   }
+  matmul_ = SlicedMatmul(SlicedMatmul::Role::kRight, &w_, 0,
+                         opts_.out_features, opts_.in_features,
+                         std::move(in_k_ends));
 }
 
 void Dense::DoSetSliceRate(double r) {
@@ -55,42 +59,16 @@ Tensor Dense::DoForward(const Tensor& x, bool training) {
   const int64_t batch = x.dim(0);
   cached_x_ = x;
 
-  // Inference fuses bias (and the following activation, when the fusion
-  // pass planted one) into the GEMM's C-writeback; training keeps the
-  // separate bias pass so the fused/unfused split stays bitwise-testable.
-  const bool fuse = !training && ops::FuseEpiloguesEnabled();
+  // Bias always rides the GEMM's C-writeback; a planted activation only
+  // at inference (training runs the activation module, which caches its
+  // mask for backward).
   ops::Epilogue epi;
-  if (fuse) {
-    if (opts_.bias) epi.bias = b_.data();
-    epi.act = fused_act_;
-    epi.per_row = false;  // bias/act indexed by output column
-  }
+  if (opts_.bias) epi.bias = b_.data();
+  if (!training) epi.act = fused_act_;
   Tensor y = Tensor::Uninit({batch, n});
-  // y(B,n) = x(B,m) * W[0:n, 0:m]^T — W^T packed once, sliced by prefix.
-  // Int8 is inference-only; training always contracts in fp32.
-  if (precision_ == Precision::kInt8 && !training) {
-    ops::EnsureQuantizedB(/*trans_b=*/true, opts_.in_features,
-                          opts_.out_features, w_.data(), opts_.in_features,
-                          in_k_ends_, &qpack_t_);
-    ops::GemmQuantizedBEx(/*trans_a=*/false, batch, n, m, rescale_factor_,
-                          x.data(), m, qpack_t_, 0.0f, y.data(), n, epi);
-  } else {
-    ops::EnsurePackedB(/*trans_b=*/true, opts_.in_features,
-                       opts_.out_features, w_.data(), opts_.in_features,
-                       &wpack_t_);
-    ops::GemmPrepackedBEx(/*trans_a=*/false, batch, n, m, rescale_factor_,
-                          x.data(), m, wpack_t_, 0.0f, y.data(), n, epi);
-  }
-  if (opts_.bias && !fuse) {
-    const float* bias = b_.data();
-    float* yd = y.data();
-    ops::ParallelForCompute(batch, [&](int64_t i0, int64_t i1) {
-      for (int64_t i = i0; i < i1; ++i) {
-        float* row = yd + i * n;
-        for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    });
-  }
+  // y(B,n) = x(B,m) * W[0:n, 0:m]^T
+  matmul_.Prepare(precision_, training);
+  matmul_.Apply(batch, n, m, rescale_factor_, x.data(), 0.0f, y.data(), epi);
   return y;
 }
 
@@ -121,12 +99,9 @@ Tensor Dense::DoBackward(const Tensor& grad_out) {
 
   // dx(B,m) = g(B,n) * W[0:n, 0:m]
   Tensor grad_in({batch, m});
-  ops::EnsurePackedB(/*trans_b=*/false, opts_.out_features,
-                     opts_.in_features, w_.data(), opts_.in_features,
-                     &wpack_nt_);
-  ops::GemmPrepackedB(/*trans_a=*/false, batch, m, n, rescale_factor_,
-                      grad_out.data(), n, wpack_nt_, 0.0f, grad_in.data(),
-                      m);
+  matmul_.Prepare(Precision::kFp32, /*training=*/true);
+  matmul_.ApplyTransposed(batch, n, m, rescale_factor_, grad_out.data(),
+                          0.0f, grad_in.data());
   return grad_in;
 }
 

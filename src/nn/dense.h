@@ -6,6 +6,7 @@
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/tensor/prepack.h"
 #include "src/util/rng.h"
 
@@ -80,19 +81,9 @@ class Dense : public Module {
   float rescale_factor_ = 1.0f;
   ops::EpiAct fused_act_ = ops::EpiAct::kNone;
 
-  // Prepacked full-size W panels; any slice rate reads a prefix. Two
-  // flavors because forward consumes op(B) = W^T and backward-dx op(B)
-  // = W. Rebuilt lazily when the weight generation advances.
-  ops::PackedMatrix wpack_t_;   ///< trans_b = true (forward)
-  ops::PackedMatrix wpack_nt_;  ///< trans_b = false (backward dx)
-
-  /// Int8 forward path (precision == kInt8, inference only): W^T quantized
-  /// per (input slice group, output neuron), so any (rate, int8) operating
-  /// point reads a prefix of this one pack. Keyed/staleness-checked by the
-  /// same weight generation as the fp32 panels.
-  ops::QuantizedPack qpack_t_;
-  /// K segment ends of W^T: input group boundaries scaled by in_unit.
-  std::vector<int64_t> in_k_ends_;
+  /// W's contraction and packs; any (rate, precision) reads a prefix. K
+  /// segments (int8 scale groups) are the input groups scaled by in_unit.
+  SlicedMatmul matmul_;
 };
 
 }  // namespace ms

@@ -45,10 +45,8 @@ Tensor DepthwiseConv2d::DoForward(const Tensor& x, bool training) {
   last_ow_ = ow;
 
   // Direct-loop analogue of the GEMM epilogue: a planted activation is
-  // applied at each output write (kNone when training or fusion is off).
-  const ops::EpiAct act = (!training && ops::FuseEpiloguesEnabled())
-                              ? fused_act_
-                              : ops::EpiAct::kNone;
+  // applied at each output write (inference only).
+  const ops::EpiAct act = training ? ops::EpiAct::kNone : fused_act_;
   Tensor y = Tensor::Uninit({batch, active_channels_, oh, ow});
   const float* xd = x.data();
   float* yd = y.data();

@@ -7,12 +7,13 @@
 // Dense, Conv2d, GroupedConv2d, DepthwiseConv2d, GroupNorm, BatchNorm and
 // MultiBatchNorm; absorbable followers are ReLU and Tanh.
 //
-// The pass only *marks* modules: at forward time each producer re-checks
-// `!training && ops::FuseEpiloguesEnabled()`, so training forwards and
-// MS_FUSE_EPILOGUES=0 runs behave exactly as if the pass never ran, and
-// fused inference is bitwise identical to unfused (the epilogue applies
-// the same float operations at C-writeback that the bypassed module would
-// have applied in its own pass).
+// The pass only *marks* modules: a producer applies its planted activation
+// at inference only, so training forwards (where the activation module
+// runs to cache what backward needs) behave exactly as if the pass never
+// ran, and fused inference is bitwise identical to unfused (the epilogue
+// applies the same float operations at C-writeback that the bypassed
+// module would have applied in its own pass). Layer biases are not part
+// of the pass: they always ride the GEMM epilogue, training included.
 #ifndef MODELSLICING_NN_FUSION_H_
 #define MODELSLICING_NN_FUSION_H_
 

@@ -23,6 +23,11 @@ GroupedConv2d::GroupedConv2d(GroupedConv2dOptions opts, Rng* rng,
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   w_ = Tensor::Randn({opts_.groups, out_per_group_, fan_in}, rng, stddev);
   w_grad_ = Tensor::Zeros(w_.shape());
+  for (int64_t g = 0; g < opts_.groups; ++g) {
+    matmuls_.emplace_back(SlicedMatmul::Role::kLeft, &w_,
+                          g * out_per_group_ * fan_in, out_per_group_, fan_in,
+                          std::vector<int64_t>{fan_in});
+  }
 }
 
 void GroupedConv2d::DoSetSliceRate(double r) {
@@ -42,7 +47,6 @@ Tensor GroupedConv2d::DoForward(const Tensor& x, bool training) {
   const int64_t oh = (h + 2 * opts_.pad - k) / opts_.stride + 1;
   const int64_t ow = (w + 2 * opts_.pad - k) / opts_.stride + 1;
   MS_CHECK(oh >= 1 && ow >= 1);
-  (void)training;
   cached_x_ = x;
   cached_h_ = h;
   cached_w_ = w;
@@ -51,37 +55,16 @@ Tensor GroupedConv2d::DoForward(const Tensor& x, bool training) {
 
   const int64_t out_area = oh * ow;
   const int64_t col_rows = in_per_group_ * k * k;
-  // No bias in this layer: the inference epilogue carries only a planted
-  // activation (see nn/fusion.h).
-  const bool fuse = !training && ops::FuseEpiloguesEnabled();
+  // No bias in this layer: the epilogue carries only a planted
+  // activation, at inference (see nn/fusion.h).
   ops::Epilogue epi;
-  if (fuse) epi.act = fused_act_;
+  if (!training) epi.act = fused_act_;
   Tensor y = Tensor::Uninit({batch, active_out(), oh, ow});
   const float* xd = x.data();
   float* yd = y.data();
   // Pack the active branches' weights once, before the fan-out.
-  // Int8 is inference-only; training always contracts in fp32.
-  const bool int8 = precision_ == Precision::kInt8 && !training;
-  if (int8) {
-    if (qpacks_t_.size() < static_cast<size_t>(opts_.groups)) {
-      qpacks_t_.resize(static_cast<size_t>(opts_.groups));
-    }
-    const std::vector<int64_t> ends = {col_rows};
-    for (int64_t g = 0; g < active_groups_; ++g) {
-      ops::EnsureQuantizedB(/*trans_b=*/true, col_rows, out_per_group_,
-                            w_.data() + g * out_per_group_ * col_rows,
-                            col_rows, ends,
-                            &qpacks_t_[static_cast<size_t>(g)]);
-    }
-  } else {
-    if (wpacks_.size() < static_cast<size_t>(opts_.groups)) {
-      wpacks_.resize(static_cast<size_t>(opts_.groups));
-    }
-    for (int64_t g = 0; g < active_groups_; ++g) {
-      ops::EnsurePackedA(/*trans_a=*/false, out_per_group_, col_rows,
-                         w_.data() + g * out_per_group_ * col_rows, col_rows,
-                         &wpacks_[static_cast<size_t>(g)]);
-    }
+  for (int64_t g = 0; g < active_groups_; ++g) {
+    matmuls_[static_cast<size_t>(g)].Prepare(precision_, training);
   }
   // Parallel over images; groups run serially inside each shard with one
   // arena-backed im2col buffer per worker.
@@ -94,15 +77,9 @@ Tensor GroupedConv2d::DoForward(const Tensor& x, bool training) {
         const float* xg = xd + (img * active_in() + g * in_per_group_) * h * w;
         ops::Im2Col(xg, in_per_group_, h, w, k, opts_.stride, opts_.pad, cols);
         float* yg = yd + (img * active_out() + g * out_per_group_) * out_area;
-        if (int8) {
-          ops::GemmQuantizedWeightAEx(out_per_group_, out_area, col_rows,
-                                      qpacks_t_[static_cast<size_t>(g)], cols,
-                                      out_area, 0.0f, yg, out_area, epi);
-        } else {
-          ops::GemmPrepackedAEx(out_per_group_, out_area, col_rows,
-                                wpacks_[static_cast<size_t>(g)], false, cols,
-                                out_area, 0.0f, yg, out_area, epi);
-        }
+        matmuls_[static_cast<size_t>(g)].Apply(out_area, out_per_group_,
+                                               col_rows, 1.0f, cols, 0.0f, yg,
+                                               epi);
       }
     }
   });
@@ -127,14 +104,10 @@ Tensor GroupedConv2d::DoBackward(const Tensor& grad_out) {
   const float* xd = cached_x_.data();
   const float* gd = grad_out.data();
   float* gid = grad_in.data();
-  // dcols consumes op(A) = W_g^T; pack the active branches up front.
-  if (wpacks_t_.size() < static_cast<size_t>(opts_.groups)) {
-    wpacks_t_.resize(static_cast<size_t>(opts_.groups));
-  }
+  // dcols consumes W_g^T; pack the active branches up front.
   for (int64_t g = 0; g < active_groups_; ++g) {
-    ops::EnsurePackedA(/*trans_a=*/true, col_rows, out_per_group_,
-                       w_.data() + g * out_per_group_ * col_rows, col_rows,
-                       &wpacks_t_[static_cast<size_t>(g)]);
+    matmuls_[static_cast<size_t>(g)].Prepare(Precision::kFp32,
+                                             /*training=*/true);
   }
   // Parallel over groups: each group owns a disjoint w_grad_ block and
   // disjoint (img, g) planes of grad_in, and accumulates its images in
@@ -155,9 +128,8 @@ Tensor GroupedConv2d::DoBackward(const Tensor& grad_out) {
         ops::Gemm(false, true, out_per_group_, col_rows, out_area, 1.0f, gg,
                   out_area, cols, out_area, 1.0f, wg_grad, col_rows);
         // dcols = W_g^T * g
-        ops::GemmPrepackedA(col_rows, out_area, out_per_group_,
-                            wpacks_t_[static_cast<size_t>(g)], false, gg,
-                            out_area, 0.0f, grad_cols, out_area);
+        matmuls_[static_cast<size_t>(g)].ApplyTransposed(
+            out_area, out_per_group_, col_rows, 1.0f, gg, 0.0f, grad_cols);
         ops::Col2Im(grad_cols, in_per_group_, h, w, k, opts_.stride,
                     opts_.pad,
                     gid + (img * active_in() + g * in_per_group_) * h * w);

@@ -12,7 +12,7 @@
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
-#include "src/tensor/prepack.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -62,16 +62,10 @@ class GroupedConv2d : public Module {
   Tensor w_;       ///< (groups, out_per_group, in_per_group * k * k) flat.
   Tensor w_grad_;
 
-  // One prepacked W_g per branch (slicing keeps whole branches, so each
-  // pack is always used at full extents); ensured before the parallel
-  // regions. _t = W_g^T for the backward dcols path.
-  std::vector<ops::PackedMatrix> wpacks_;
-  std::vector<ops::PackedMatrix> wpacks_t_;
-
-  /// Int8 forward path: one quantized W_g^T per branch. A branch is either
-  /// fully active or fully inactive, so each pack is a single K segment
-  /// used at full extents.
-  std::vector<ops::QuantizedPack> qpacks_t_;
+  /// One operator per branch, W_g as the left operand of its im2col
+  /// product. Slicing keeps whole branches, so each is a single K segment
+  /// always used at full extents.
+  std::vector<SlicedMatmul> matmuls_;
 
   Tensor cached_x_;
   ops::EpiAct fused_act_ = ops::EpiAct::kNone;

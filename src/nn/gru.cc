@@ -37,11 +37,20 @@ Gru::Gru(GruOptions opts, Rng* rng, std::string name)
   wh_grad_ = Tensor::Zeros(wh_.shape());
   bx_grad_ = Tensor::Zeros(bx_.shape());
   bh_grad_ = Tensor::Zeros(bh_.shape());
+  std::vector<int64_t> in_k_ends, hidden_k_ends;
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g));
+    in_k_ends.push_back(in_spec_.GroupBoundary(g));
   }
   for (int64_t g = 1; g <= hidden_spec_.num_groups(); ++g) {
-    hidden_k_ends_.push_back(hidden_spec_.GroupBoundary(g));
+    hidden_k_ends.push_back(hidden_spec_.GroupBoundary(g));
+  }
+  const int64_t hid = opts_.hidden_size;
+  for (int gate = 0; gate < 3; ++gate) {
+    wx_mm_[gate] = SlicedMatmul(SlicedMatmul::Role::kRight, &wx_,
+                                gate * hid * opts_.input_size, hid,
+                                opts_.input_size, in_k_ends);
+    wh_mm_[gate] = SlicedMatmul(SlicedMatmul::Role::kRight, &wh_,
+                                gate * hid * hid, hid, hid, hidden_k_ends);
   }
 }
 
@@ -60,53 +69,12 @@ void Gru::DoSetSliceRate(double r) {
   }
 }
 
-void Gru::InputGemm(int gate, const float* x, int64_t batch, bool int8,
-                    bool fuse, float* z) const {
-  const int64_t n = active_hidden_;
-  const int64_t m = active_in_;
-  const float* bias = bx_.data() + gate * opts_.hidden_size;
+void Gru::GateGemm(const SlicedMatmul& mm, const Tensor& bias, int gate,
+                   int64_t k, float rescale, const float* in, int64_t batch,
+                   float* z) const {
   ops::Epilogue epi;
-  if (fuse) {
-    epi.bias = bias;
-    epi.per_row = false;  // bias indexed by hidden unit == C column
-  }
-  if (int8) {
-    ops::GemmQuantizedBEx(false, batch, n, m, rescale_x_, x, m, qwx_t_[gate],
-                          0.0f, z, n, epi);
-  } else {
-    ops::GemmPrepackedBEx(false, batch, n, m, rescale_x_, x, m,
-                          wx_pack_t_[gate], 0.0f, z, n, epi);
-  }
-  if (!fuse) {
-    for (int64_t b = 0; b < batch; ++b) {
-      float* row = z + b * n;
-      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
-    }
-  }
-}
-
-void Gru::HiddenGemm(int gate, const float* h, int64_t batch, bool int8,
-                     bool fuse, float* z) const {
-  const int64_t n = active_hidden_;
-  const float* bias = bh_.data() + gate * opts_.hidden_size;
-  ops::Epilogue epi;
-  if (fuse) {
-    epi.bias = bias;
-    epi.per_row = false;
-  }
-  if (int8) {
-    ops::GemmQuantizedBEx(false, batch, n, n, rescale_h_, h, n, qwh_t_[gate],
-                          0.0f, z, n, epi);
-  } else {
-    ops::GemmPrepackedBEx(false, batch, n, n, rescale_h_, h, n,
-                          wh_pack_t_[gate], 0.0f, z, n, epi);
-  }
-  if (!fuse) {
-    for (int64_t b = 0; b < batch; ++b) {
-      float* row = z + b * n;
-      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
-    }
-  }
+  epi.bias = bias.data() + gate * opts_.hidden_size;  // per hidden unit
+  mm.Apply(batch, active_hidden_, k, rescale, in, 0.0f, z, epi);
 }
 
 Tensor Gru::DoForward(const Tensor& x, bool training) {
@@ -121,32 +89,12 @@ Tensor Gru::DoForward(const Tensor& x, bool training) {
   cached_t_ = t_steps;
   cached_b_ = batch;
   const int64_t bn = batch * n;
-  const bool fuse = !training && ops::FuseEpiloguesEnabled();
 
   // Pack each gate's Wx/Wh once up front (a cache hit in steady state);
-  // all T timesteps below reuse the panels. Int8 is inference-only;
-  // training always contracts in fp32.
-  const bool int8 = precision_ == Precision::kInt8 && !training;
+  // all T timesteps below reuse the panels.
   for (int gate = 0; gate < 3; ++gate) {
-    if (int8) {
-      ops::EnsureQuantizedB(
-          true, opts_.input_size, opts_.hidden_size,
-          wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, in_k_ends_, &qwx_t_[gate]);
-      ops::EnsureQuantizedB(
-          true, opts_.hidden_size, opts_.hidden_size,
-          wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, hidden_k_ends_, &qwh_t_[gate]);
-    } else {
-      ops::EnsurePackedB(
-          true, opts_.input_size, opts_.hidden_size,
-          wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, &wx_pack_t_[gate]);
-      ops::EnsurePackedB(
-          true, opts_.hidden_size, opts_.hidden_size,
-          wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, &wh_pack_t_[gate]);
-    }
+    wx_mm_[gate].Prepare(precision_, training);
+    wh_mm_[gate].Prepare(precision_, training);
   }
 
   // Gate pre-activations and the zero initial state live on the arena; the
@@ -170,12 +118,12 @@ Tensor Gru::DoForward(const Tensor& x, bool training) {
   for (int64_t t = 0; t < t_steps; ++t) {
     const float* xt = x.data() + t * batch * m;
     const float* h_prev = (t == 0) ? zeros : out.data() + (t - 1) * bn;
-    InputGemm(kGateR, xt, batch, int8, fuse, xr);
-    InputGemm(kGateZ, xt, batch, int8, fuse, xz);
-    InputGemm(kGateN, xt, batch, int8, fuse, xn);
-    HiddenGemm(kGateR, h_prev, batch, int8, fuse, hr);
-    HiddenGemm(kGateZ, h_prev, batch, int8, fuse, hz);
-    HiddenGemm(kGateN, h_prev, batch, int8, fuse, hn);
+    GateGemm(wx_mm_[kGateR], bx_, kGateR, m, rescale_x_, xt, batch, xr);
+    GateGemm(wx_mm_[kGateZ], bx_, kGateZ, m, rescale_x_, xt, batch, xz);
+    GateGemm(wx_mm_[kGateN], bx_, kGateN, m, rescale_x_, xt, batch, xn);
+    GateGemm(wh_mm_[kGateR], bh_, kGateR, n, rescale_h_, h_prev, batch, hr);
+    GateGemm(wh_mm_[kGateZ], bh_, kGateZ, n, rescale_h_, h_prev, batch, hz);
+    GateGemm(wh_mm_[kGateN], bh_, kGateN, n, rescale_h_, h_prev, batch, hn);
 
     float* h_out = out.data() + t * bn;
     StepCache& sc = steps_[static_cast<size_t>(t)];
@@ -210,16 +158,10 @@ Tensor Gru::DoBackward(const Tensor& grad_out) {
 
   MS_CHECK_MSG(cached_x_.ndim() == 3,
                "Gru::Backward requires a prior Forward");
-  // dx/dh consume op(B) = W; pack once, reuse across the reverse sweep.
+  // dx/dh consume W; pack once, reuse across the reverse sweep.
   for (int gate = 0; gate < 3; ++gate) {
-    ops::EnsurePackedB(
-        false, opts_.hidden_size, opts_.input_size,
-        wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-        opts_.input_size, &wx_pack_nt_[gate]);
-    ops::EnsurePackedB(
-        false, opts_.hidden_size, opts_.hidden_size,
-        wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-        opts_.hidden_size, &wh_pack_nt_[gate]);
+    wx_mm_[gate].Prepare(Precision::kFp32, /*training=*/true);
+    wh_mm_[gate].Prepare(Precision::kFp32, /*training=*/true);
   }
   Tensor grad_in({t_steps, batch, m});
   ScratchArena& arena = ScratchArena::ForThread();
@@ -290,8 +232,7 @@ Tensor Gru::DoBackward(const Tensor& grad_out) {
         const float* row = dzx + b * n;
         for (int64_t j = 0; j < n; ++j) bxg[j] += row[j];
       }
-      ops::GemmPrepackedB(false, batch, m, n, rescale_x_, dzx, n,
-                          wx_pack_nt_[gate], 1.0f, dxt, m);
+      wx_mm_[gate].ApplyTransposed(batch, n, m, rescale_x_, dzx, 1.0f, dxt);
 
       // Hidden path.
       if (h_prev != nullptr) {
@@ -302,8 +243,8 @@ Tensor Gru::DoBackward(const Tensor& grad_out) {
         const float* row = dzh + b * n;
         for (int64_t j = 0; j < n; ++j) bhg[j] += row[j];
       }
-      ops::GemmPrepackedB(false, batch, n, n, rescale_h_, dzh, n,
-                          wh_pack_nt_[gate], 1.0f, dh_next, n);
+      wh_mm_[gate].ApplyTransposed(batch, n, n, rescale_h_, dzh, 1.0f,
+                                   dh_next);
     }
   }
   return grad_in;

@@ -10,7 +10,7 @@
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
-#include "src/tensor/prepack.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -48,15 +48,13 @@ class Gru : public Module {
   int64_t active_hidden() const { return active_hidden_; }
 
  private:
-  // z_out(B, n) = rescale_x * x * Wx[gate]^T + bx[gate]; input contribution.
-  // `int8` routes through the quantized packs (ensured by DoForward).
-  // `fuse` folds the bias add into the GEMM epilogue (bias-only: GRU gate
-  // nonlinearities act on xr + hr *sums*, so they cannot fuse per-GEMM).
-  void InputGemm(int gate, const float* x, int64_t batch, bool int8,
-                 bool fuse, float* z) const;
-  // z_out(B, n) = rescale_h * h * Wh[gate]^T + bh[gate]; hidden contribution.
-  void HiddenGemm(int gate, const float* h, int64_t batch, bool int8,
-                  bool fuse, float* z) const;
+  // z_out(B, n) = rescale * in * W[gate]^T + b[gate]: the input (wx, bx)
+  // or hidden (wh, bh) contribution, bias added in the GEMM epilogue. The
+  // gate nonlinearities act on xr + hr *sums*, so they cannot fuse
+  // per-GEMM.
+  void GateGemm(const SlicedMatmul& mm, const Tensor& bias, int gate,
+                int64_t k, float rescale, const float* in, int64_t batch,
+                float* z) const;
 
   GruOptions opts_;
   std::string name_;
@@ -73,15 +71,10 @@ class Gru : public Module {
   Tensor bh_;  ///< (3 * hidden)
   Tensor wx_grad_, wh_grad_, bx_grad_, bh_grad_;
 
-  // Prepacked gate blocks (see Lstm): _t = W^T for forward, _nt = W for
-  // the backward dx/dh path; the recurrent packs amortize over all T.
-  ops::PackedMatrix wx_pack_t_[3], wh_pack_t_[3];
-  ops::PackedMatrix wx_pack_nt_[3], wh_pack_nt_[3];
-
-  // Int8 forward path: quantized gate blocks, K segments on the input /
-  // hidden slice-group boundaries so any rate reads a pack prefix.
-  ops::QuantizedPack qwx_t_[3], qwh_t_[3];
-  std::vector<int64_t> in_k_ends_, hidden_k_ends_;
+  // One operator per gate block (see Lstm); K segments sit on the input
+  // / hidden slice-group boundaries, and the recurrent packs amortize over
+  // all T.
+  SlicedMatmul wx_mm_[3], wh_mm_[3];
 
   struct StepCache {
     Tensor r, z, n;   ///< gate activations, (B, active_hidden) each

@@ -6,11 +6,6 @@
 #include "src/tensor/tensor_ops.h"
 
 namespace ms {
-namespace {
-
-inline float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-}  // namespace
 
 Lstm::Lstm(LstmOptions opts, Rng* rng, std::string name)
     : opts_(opts), name_(std::move(name)) {
@@ -36,11 +31,20 @@ Lstm::Lstm(LstmOptions opts, Rng* rng, std::string name)
   wx_grad_ = Tensor::Zeros(wx_.shape());
   wh_grad_ = Tensor::Zeros(wh_.shape());
   b_grad_ = Tensor::Zeros(b_.shape());
+  std::vector<int64_t> in_k_ends, hidden_k_ends;
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g));
+    in_k_ends.push_back(in_spec_.GroupBoundary(g));
   }
   for (int64_t g = 1; g <= hidden_spec_.num_groups(); ++g) {
-    hidden_k_ends_.push_back(hidden_spec_.GroupBoundary(g));
+    hidden_k_ends.push_back(hidden_spec_.GroupBoundary(g));
+  }
+  const int64_t hid = opts_.hidden_size;
+  for (int gate = 0; gate < 4; ++gate) {
+    wx_mm_[gate] = SlicedMatmul(SlicedMatmul::Role::kRight, &wx_,
+                                gate * hid * opts_.input_size, hid,
+                                opts_.input_size, in_k_ends);
+    wh_mm_[gate] = SlicedMatmul(SlicedMatmul::Role::kRight, &wh_,
+                                gate * hid * hid, hid, hid, hidden_k_ends);
   }
 }
 
@@ -59,38 +63,20 @@ void Lstm::DoSetSliceRate(double r) {
   }
 }
 
-void Lstm::GateGemm(int gate, const float* x, int64_t m, const float* h,
-                    int64_t batch, bool int8, bool fuse, float* z) const {
+void Lstm::GateGemm(int gate, const float* x, const float* h,
+                    int64_t batch, float* z) const {
+  const int64_t m = active_in_;
   const int64_t n = active_hidden_;
-  const float* bias = b_.data() + gate * opts_.hidden_size;
   // Only the *second* (recurrent, beta = 1) GEMM carries the epilogue: its
   // merge sees the completed pre-activation, so bias-then-nonlinearity at
-  // C-writeback is the same float sequence as the unfused post-passes.
+  // C-writeback is the same float sequence as separate post-passes.
   ops::Epilogue epi;
-  if (fuse) {
-    epi.bias = bias;
-    epi.per_row = false;  // bias indexed by hidden unit == C column
-    epi.act = (gate == 2) ? ops::EpiAct::kTanh : ops::EpiAct::kSigmoid;
-  }
+  epi.bias = b_.data() + gate * opts_.hidden_size;  // per hidden unit
+  epi.act = (gate == 2) ? ops::EpiAct::kTanh : ops::EpiAct::kSigmoid;
   // z(B, n) = rescale_x * x(B, m) * Wx[0:n, 0:m]^T
-  // z += rescale_h * h(B, n) * Wh[0:n, 0:n]^T
-  if (int8) {
-    ops::GemmQuantizedB(false, batch, n, m, rescale_x_, x, m, qwx_t_[gate],
-                        0.0f, z, n);
-    ops::GemmQuantizedBEx(false, batch, n, n, rescale_h_, h, n, qwh_t_[gate],
-                          1.0f, z, n, epi);
-  } else {
-    ops::GemmPrepackedB(false, batch, n, m, rescale_x_, x, m,
-                        wx_pack_t_[gate], 0.0f, z, n);
-    ops::GemmPrepackedBEx(false, batch, n, n, rescale_h_, h, n,
-                          wh_pack_t_[gate], 1.0f, z, n, epi);
-  }
-  if (!fuse) {
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      float* row = z + bi * n;
-      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
-    }
-  }
+  // z = act(z + rescale_h * h(B, n) * Wh[0:n, 0:n]^T + b)
+  wx_mm_[gate].Apply(batch, n, m, rescale_x_, x, 0.0f, z);
+  wh_mm_[gate].Apply(batch, n, n, rescale_h_, h, 1.0f, z, epi);
 }
 
 Tensor Lstm::DoForward(const Tensor& x, bool training) {
@@ -105,34 +91,12 @@ Tensor Lstm::DoForward(const Tensor& x, bool training) {
   cached_t_ = t_steps;
   cached_b_ = batch;
   const int64_t bn = batch * n;
-  // With fusion on, the gate GEMMs return already-activated values and the
-  // pointwise loop below skips its Sigmoid/tanh calls.
-  const bool fuse = !training && ops::FuseEpiloguesEnabled();
 
   // Pack each gate's Wx/Wh once up front (a cache hit in steady state);
-  // every one of the T timesteps below then reuses the panels. Int8 is
-  // inference-only; training always contracts in fp32.
-  const bool int8 = precision_ == Precision::kInt8 && !training;
+  // every one of the T timesteps below then reuses the panels.
   for (int gate = 0; gate < 4; ++gate) {
-    if (int8) {
-      ops::EnsureQuantizedB(
-          true, opts_.input_size, opts_.hidden_size,
-          wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, in_k_ends_, &qwx_t_[gate]);
-      ops::EnsureQuantizedB(
-          true, opts_.hidden_size, opts_.hidden_size,
-          wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, hidden_k_ends_, &qwh_t_[gate]);
-    } else {
-      ops::EnsurePackedB(
-          true, opts_.input_size, opts_.hidden_size,
-          wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, &wx_pack_t_[gate]);
-      ops::EnsurePackedB(
-          true, opts_.hidden_size, opts_.hidden_size,
-          wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, &wh_pack_t_[gate]);
-    }
+    wx_mm_[gate].Prepare(precision_, training);
+    wh_mm_[gate].Prepare(precision_, training);
   }
 
   // Gate pre-activations and the zero initial state live on the arena; the
@@ -155,10 +119,10 @@ Tensor Lstm::DoForward(const Tensor& x, bool training) {
   for (int64_t t = 0; t < t_steps; ++t) {
     const float* xt = x.data() + t * batch * m;
     const float* h_prev = (t == 0) ? zeros : out.data() + (t - 1) * bn;
-    GateGemm(0, xt, m, h_prev, batch, int8, fuse, zi);
-    GateGemm(1, xt, m, h_prev, batch, int8, fuse, zf);
-    GateGemm(2, xt, m, h_prev, batch, int8, fuse, zg);
-    GateGemm(3, xt, m, h_prev, batch, int8, fuse, zo);
+    GateGemm(0, xt, h_prev, batch, zi);
+    GateGemm(1, xt, h_prev, batch, zf);
+    GateGemm(2, xt, h_prev, batch, zg);
+    GateGemm(3, xt, h_prev, batch, zo);
 
     float* h_out = out.data() + t * bn;
     StepCache& sc = steps_[static_cast<size_t>(t)];
@@ -170,10 +134,10 @@ Tensor Lstm::DoForward(const Tensor& x, bool training) {
     sc.tanh_c.EnsureShape({batch, n});
     sc.h.EnsureShape({batch, n});
     for (int64_t idx = 0; idx < bn; ++idx) {
-      const float iv = fuse ? zi[idx] : Sigmoid(zi[idx]);
-      const float fv = fuse ? zf[idx] : Sigmoid(zf[idx]);
-      const float gv = fuse ? zg[idx] : std::tanh(zg[idx]);
-      const float ov = fuse ? zo[idx] : Sigmoid(zo[idx]);
+      const float iv = zi[idx];
+      const float fv = zf[idx];
+      const float gv = zg[idx];
+      const float ov = zo[idx];
       const float cv = fv * c_prev[idx] + iv * gv;
       const float tc = std::tanh(cv);
       sc.i[idx] = iv;
@@ -201,17 +165,11 @@ Tensor Lstm::DoBackward(const Tensor& grad_out) {
 
   MS_CHECK_MSG(cached_x_.ndim() == 3,
                "Lstm::Backward requires a prior Forward");
-  // dx/dh consume op(B) = W (untransposed); pack once, reuse across the
-  // T-step reverse sweep.
+  // dx/dh consume W (untransposed); pack once, reuse across the T-step
+  // reverse sweep.
   for (int gate = 0; gate < 4; ++gate) {
-    ops::EnsurePackedB(
-        false, opts_.hidden_size, opts_.input_size,
-        wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-        opts_.input_size, &wx_pack_nt_[gate]);
-    ops::EnsurePackedB(
-        false, opts_.hidden_size, opts_.hidden_size,
-        wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-        opts_.hidden_size, &wh_pack_nt_[gate]);
+    wx_mm_[gate].Prepare(Precision::kFp32, /*training=*/true);
+    wh_mm_[gate].Prepare(Precision::kFp32, /*training=*/true);
   }
   Tensor grad_in({t_steps, batch, m});
   ScratchArena& arena = ScratchArena::ForThread();
@@ -276,11 +234,10 @@ Tensor Lstm::DoBackward(const Tensor& grad_out) {
         for (int64_t j = 0; j < n; ++j) bg[j] += row[j];
       }
       // dx += rescale_x * dz(B, n) * Wx[0:n, 0:m]
-      ops::GemmPrepackedB(false, batch, m, n, rescale_x_, dz, n,
-                          wx_pack_nt_[gate], 1.0f, dxt, m);
+      wx_mm_[gate].ApplyTransposed(batch, n, m, rescale_x_, dz, 1.0f, dxt);
       // dh_prev += rescale_h * dz(B, n) * Wh[0:n, 0:n]
-      ops::GemmPrepackedB(false, batch, n, n, rescale_h_, dz, n,
-                          wh_pack_nt_[gate], 1.0f, dh_next, n);
+      wh_mm_[gate].ApplyTransposed(batch, n, n, rescale_h_, dz, 1.0f,
+                                   dh_next);
     }
   }
   return grad_in;

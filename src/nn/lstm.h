@@ -8,7 +8,7 @@
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
-#include "src/tensor/prepack.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -43,14 +43,11 @@ class Lstm : public Module {
   int64_t active_hidden() const { return active_hidden_; }
 
  private:
-  // Pre-activation z = rescale_x * Wx[gate] x + rescale_h * Wh[gate] h + b.
-  // `int8` routes both GEMMs through the quantized packs (ensured by
-  // DoForward before the timestep loop). With `fuse` set (inference +
-  // epilogue fusion enabled) the second GEMM's epilogue adds the gate bias
-  // and applies the gate nonlinearity (sigmoid for i/f/o, tanh for g), so z
-  // holds *activated* gate values and the separate bias pass is skipped.
-  void GateGemm(int gate, const float* x, int64_t m, const float* h,
-                int64_t batch, bool int8, bool fuse, float* z) const;
+  // Activated gate z = act(rescale_x * Wx[gate] x + rescale_h * Wh[gate] h
+  // + b): the recurrent GEMM's epilogue adds the gate bias and applies the
+  // gate nonlinearity (sigmoid for i/f/o, tanh for g).
+  void GateGemm(int gate, const float* x, const float* h, int64_t batch,
+                float* z) const;
 
   LstmOptions opts_;
   std::string name_;
@@ -66,17 +63,11 @@ class Lstm : public Module {
   Tensor b_;   ///< (4 * hidden)
   Tensor wx_grad_, wh_grad_, b_grad_;
 
-  // Prepacked gate blocks, one per gate because the stacked [i,f,g,o]
-  // rows are not a slice prefix of the full matrix. The recurrent
-  // wh_pack_ is the biggest win: it is reused across all T timesteps.
-  // _t = op(B) is W^T (forward); _nt = op(B) is W (backward dx/dh).
-  ops::PackedMatrix wx_pack_t_[4], wh_pack_t_[4];
-  ops::PackedMatrix wx_pack_nt_[4], wh_pack_nt_[4];
-
-  // Int8 forward path: quantized gate blocks, K segments on the input /
-  // hidden slice-group boundaries so any rate reads a pack prefix.
-  ops::QuantizedPack qwx_t_[4], qwh_t_[4];
-  std::vector<int64_t> in_k_ends_, hidden_k_ends_;
+  // One operator per gate block, because the stacked [i,f,g,o] rows are
+  // not a slice prefix of the full matrix. K segments sit on the input /
+  // hidden slice-group boundaries. The recurrent packs are the biggest
+  // win: they are reused across all T timesteps.
+  SlicedMatmul wx_mm_[4], wh_mm_[4];
 
   // Per-timestep caches from the last Forward (compact widths).
   struct StepCache {

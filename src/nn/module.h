@@ -37,6 +37,11 @@ struct ParamRef {
 /// tracing disabled the hooks cost two relaxed atomic loads.
 class Module {
  public:
+  Module() = default;
+  // Layers hand out views of their own members (SlicedMatmul holds a
+  // pointer to its weight tensor), so a module never changes address.
+  Module(const Module&) = delete;
+  Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
   /// Compute the layer output. `training` toggles dropout / batch-stat

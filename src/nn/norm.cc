@@ -113,9 +113,7 @@ Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
   Tensor y = Tensor::Uninit(x.shape());
   cached_xhat_.EnsureShape(x.shape());
   const ops::detail::SumSqF32Fn sumsq_fn = ActiveSumSq();
-  const ops::EpiAct act = (!training && ops::FuseEpiloguesEnabled())
-                              ? fused_act_
-                              : ops::EpiAct::kNone;
+  const ops::EpiAct act = training ? ops::EpiAct::kNone : fused_act_;
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t g = 0; g < active_groups_; ++g) {
       const int64_t c0 = spec_.GroupBoundary(g);
@@ -246,9 +244,7 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
     cached_xhat_.EnsureShape(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(active_channels_), 0.0f);
   }
-  const ops::EpiAct act = (!training && ops::FuseEpiloguesEnabled())
-                              ? fused_act_
-                              : ops::EpiAct::kNone;
+  const ops::EpiAct act = training ? ops::EpiAct::kNone : fused_act_;
   for (int64_t c = 0; c < active_channels_; ++c) {
     float mean, inv_std;
     if (training) {

@@ -1,5 +1,6 @@
 #include "src/serving/latency_scheduler.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/obs/metrics.h"
@@ -91,6 +92,20 @@ TickDecision LatencyScheduler::Schedule(int n) const {
   d.slo_met = false;
   d.accuracy = AccuracyAt(d.rate);
   return d;
+}
+
+int64_t MaxBatchWithinBudget(const ServingConfig& config) {
+  const double budget = config.latency_budget / 2.0;
+  const double base = config.lattice.lower_bound();
+  // The cheapest calibrated operating point bounds the ladder's last rung:
+  // int8-at-base-rate when that cost column exists, else fp32-at-base.
+  double t_min = config.full_sample_time;
+  if (config.full_sample_time_int8 > 0.0) {
+    t_min = std::min(t_min, config.full_sample_time_int8);
+  }
+  const double per_sample = base * base * t_min;
+  if (per_sample <= 0.0) return 0;
+  return static_cast<int64_t>(std::floor(budget / per_sample));
 }
 
 TickDecision LatencyScheduler::ScheduleFixed(int n, double rate,

@@ -71,6 +71,14 @@ class LatencyScheduler {
   ServingConfig config_;
 };
 
+/// Largest batch the T/2 budget can absorb at the base (lowest) rate and
+/// the cheapest calibrated precision — the last rung of the shedding
+/// ladder before work must stay queued. With an int8 cost column
+/// calibrated, "drop to int8 at the base rate" is that rung, so the queue
+/// drains up to t_fp32/t_int8 times faster before shedding. SliceServer
+/// cuts its batches and plans its activation arenas with it.
+int64_t MaxBatchWithinBudget(const ServingConfig& config);
+
 struct ServingSummary {
   int64_t total_samples = 0;
   int64_t slo_violations = 0;     ///< ticks whose batch overran T/2.

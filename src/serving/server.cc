@@ -13,7 +13,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
-#include "src/serving/degradation_manager.h"
 #include "src/tensor/activation_planner.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
@@ -237,7 +236,6 @@ void SliceServer::Prewarm() {
     replica->SetSliceRate(opts_.serving.lattice.full_rate());
   }
   ops::PublishPackMetrics();
-  if (opts_.enable_int8) ops::PublishQuantMetrics();
 }
 
 void SliceServer::PlanActivationArenas() {
@@ -254,7 +252,7 @@ void SliceServer::PlanActivationArenas() {
   // worst case (floored at calibration_batch for unbudgeted configs where
   // the bound degenerates to 0).
   int64_t plan_batch =
-      DegradationManager::MaxBatchWithinBudget(opts_.serving);
+      MaxBatchWithinBudget(opts_.serving);
   if (opts_.max_queue > 0) {
     plan_batch = std::min(plan_batch, opts_.max_queue);
   }
@@ -316,7 +314,7 @@ Status SliceServer::Start() {
   MS_RETURN_NOT_OK(scheduler.status());
   scheduler_ =
       std::make_unique<LatencyScheduler>(scheduler.MoveValueOrDie());
-  if (DegradationManager::MaxBatchWithinBudget(opts_.serving) < 1) {
+  if (MaxBatchWithinBudget(opts_.serving) < 1) {
     return Status::FailedPrecondition(
         "latency budget below one base-rate sample: T/2 = " +
         std::to_string(tick_seconds_) + "s, measured t = " +
@@ -898,7 +896,7 @@ void SliceServer::TickOnce() {
   // dispatching doomed forwards. Half-open lets one batch probe.
   const bool admit = breaker_->Allow();
   const int64_t max_n =
-      admit ? DegradationManager::MaxBatchWithinBudget(opts_.serving) : 0;
+      admit ? MaxBatchWithinBudget(opts_.serving) : 0;
   const int64_t cut_ns = obs::StageNowNanos();
   RequestBatch batch = queue_->CutBatch(max_n);
   const int64_t formed_ns = obs::StageNowNanos();

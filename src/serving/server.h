@@ -1,8 +1,8 @@
 // Concurrent batched serving engine (paper Sec. 4.1, made real).
 //
-// The simulators in latency_scheduler.h / degradation_manager.h exercise the
-// Eq. 3 rule (pick the largest trained rate r with n * r^2 * t <= T/2) with
-// arithmetic only. SliceServer runs it against the wall clock:
+// The simulators in latency_scheduler.h exercise the Eq. 3 rule (pick the
+// largest trained rate r with n * r^2 * t <= T/2) with arithmetic only.
+// SliceServer runs it against the wall clock:
 //
 //   producers ──Submit()──► RequestQueue (bounded MPMC, per-request deadline)
 //                                │  batch cut every T/2 tick
@@ -13,7 +13,7 @@
 //                       ThreadPool workers ── replica->SetSliceRate(r)
 //                                             replica->Forward(batch)
 //
-// Degradation ladder (shared with DegradationManager, in order):
+// Degradation ladder, in order:
 //   1. shed:   Submit on a full queue returns kShedQueueFull;
 //   2. drop precision, then rate: with the int8 axis enabled the scheduler
 //      tries int8 at the current rate before it sheds a rate step, then

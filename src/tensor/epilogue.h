@@ -1,13 +1,13 @@
 // Fused GEMM epilogue descriptor. Every packed/prepacked/quantized GEMM
-// entry point has an `Ex` variant taking an Epilogue; the descriptor is
-// applied to each output element exactly once, at C-writeback time (the
+// entry point takes an optional Epilogue (default: empty); the descriptor
+// is applied to each output element exactly once, at C-writeback time (the
 // merge of the final accumulator tile), while the tile is still hot.
 //
 // Bitwise contract: because every kernel flavor contracts the full k
 // extent before its single merge into C, the epilogue is a deterministic
 // per-element function of the final merged value. Applying it at merge
 // time is therefore bitwise identical to a separate post-pass over C —
-// which is exactly how the reference oracle (GemmRefEx) implements it —
+// which is exactly how the reference oracle (GemmRef) implements it —
 // at any thread count, for every kernel flavor, and for any beta. The
 // scalar op order is fixed: bias add, then scale-shift (separate mul and
 // add; the TUs applying it build with -ffp-contract=off), then the
@@ -43,9 +43,9 @@ struct Epilogue {
 
 namespace detail {
 
-/// The shared scalar activation forms. Layers that keep an unfused path
-/// (training, toggle off) call these same inlines, so fused == unfused
-/// holds bitwise by construction.
+/// The shared scalar activation forms. Standalone activation passes (the
+/// norms' fused sweep, the RNN pointwise loops) call these same inlines,
+/// so fused == unfused holds bitwise by construction.
 inline float EpiRelu(float v) {
   // Branchless form of `v > 0.0f ? v : 0.0f` (same value for every input,
   // including NaN -> +0.0 and -0.0 -> +0.0). Post-GEMM activations are
@@ -185,12 +185,6 @@ inline void EpiApplyRow(const Epilogue& e, int64_t i, int64_t j0,
 }
 
 }  // namespace detail
-
-/// Process-wide fusion toggle. Defaults to the MS_FUSE_EPILOGUES env var
-/// (unset or non-"0" means on). Layers consult it on every inference
-/// forward, so flipping it swaps fused <-> unfused paths (bitwise equal).
-bool FuseEpiloguesEnabled();
-void SetFuseEpilogues(bool enabled);
 
 }  // namespace ops
 }  // namespace ms

@@ -349,32 +349,6 @@ void SetComputeThreads(int n) {
 
 bool GemmHasAvx2() { return detail::Avx2Kernel() != nullptr; }
 
-namespace {
-
-std::atomic<int> g_fuse_epilogues{-1};  // -1 = read env on first use
-
-int FuseDefaultFromEnv() {
-  if (const char* env = std::getenv("MS_FUSE_EPILOGUES")) {
-    return (env[0] == '0' && env[1] == '\0') ? 0 : 1;
-  }
-  return 1;
-}
-
-}  // namespace
-
-bool FuseEpiloguesEnabled() {
-  int v = g_fuse_epilogues.load(std::memory_order_acquire);
-  if (v < 0) {
-    v = FuseDefaultFromEnv();
-    g_fuse_epilogues.store(v, std::memory_order_release);
-  }
-  return v != 0;
-}
-
-void SetFuseEpilogues(bool enabled) {
-  g_fuse_epilogues.store(enabled ? 1 : 0, std::memory_order_release);
-}
-
 void ParallelForCompute(int64_t n,
                         const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
@@ -388,16 +362,10 @@ void ParallelForCompute(int64_t n,
 
 void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, int64_t lda, const float* b,
-             int64_t ldb, float beta, float* c, int64_t ldc) {
+             int64_t ldb, float beta, float* c, int64_t ldc,
+             const Epilogue& epi) {
   detail::ActiveKernel().ref(trans_a, trans_b, m, n, k, alpha, a, lda, b,
                              ldb, beta, c, ldc);
-}
-
-void GemmRefEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-               float alpha, const float* a, int64_t lda, const float* b,
-               int64_t ldb, float beta, float* c, int64_t ldc,
-               const Epilogue& epi) {
-  GemmRef(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
   if (epi.empty()) return;
   // Post-pass: each element was merged exactly once above, so applying
   // the epilogue here is bitwise identical to applying it at merge time.
@@ -411,15 +379,8 @@ void GemmRefEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, int64_t lda, const float* b,
-          int64_t ldb, float beta, float* c, int64_t ldc) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-         Epilogue{});
-}
-
-void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            float alpha, const float* a, int64_t lda, const float* b,
-            int64_t ldb, float beta, float* c, int64_t ldc,
-            const Epilogue& epi) {
+          int64_t ldb, float beta, float* c, int64_t ldc,
+          const Epilogue& epi) {
   using detail::CeilDiv;
   using detail::kMC;
   using detail::kNC;
@@ -427,8 +388,8 @@ void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   const int64_t flops = 2 * m * n * k;
   if (k <= 0 || flops < detail::kTinyFlops) {
     // Bitwise identical to the packed path (shared per-element contract).
-    GemmRefEx(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
-              ldc, epi);
+    GemmRef(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
+            epi);
     return;
   }
 

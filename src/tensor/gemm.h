@@ -28,33 +28,24 @@ namespace ops {
 /// C = alpha * op(A) * op(B) + beta * C, where op is optional transpose.
 /// A is (M x K) after op, B is (K x N) after op, C is (M x N). Leading
 /// dimensions may exceed the logical extents (prefix-sliced weights).
+/// `epi` (bias / scale-shift / activation) is applied to every output
+/// element at C-writeback, bitwise identical to the same per-element
+/// post-pass at any thread count (epilogue.h).
 /// Large problems run on the process-wide compute pool; calls made from
 /// inside any ThreadPool worker run single-threaded (no nested pools).
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, int64_t lda, const float* b,
-          int64_t ldb, float beta, float* c, int64_t ldc);
-
-/// Gemm with a fused epilogue (bias / scale-shift / activation) applied to
-/// every output element at C-writeback. Bitwise identical to Gemm followed
-/// by the same per-element post-pass, at any thread count (epilogue.h).
-void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-            float alpha, const float* a, int64_t lda, const float* b,
-            int64_t ldb, float beta, float* c, int64_t ldc,
-            const Epilogue& epi);
+          int64_t ldb, float beta, float* c, int64_t ldc,
+          const Epilogue& epi = {});
 
 /// Scalar reference kernel with identical floating-point semantics to
-/// Gemm (see the determinism contract above). The correctness oracle for
-/// the property suite, and the fallback for tiny problems.
+/// Gemm (see the determinism contract above), then `epi` as a separate
+/// scalar post-pass over C. The correctness oracle every fused entry point
+/// must match bitwise, and the fallback for tiny problems.
 void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, int64_t lda, const float* b,
-             int64_t ldb, float beta, float* c, int64_t ldc);
-
-/// The epilogue oracle: GemmRef, then the epilogue as a separate scalar
-/// post-pass over C. Every fused entry point must match it bitwise.
-void GemmRefEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-               float alpha, const float* a, int64_t lda, const float* b,
-               int64_t ldb, float beta, float* c, int64_t ldc,
-               const Epilogue& epi);
+             int64_t ldb, float beta, float* c, int64_t ldc,
+             const Epilogue& epi = {});
 
 /// Threads the compute pool uses. Defaults to MS_NUM_THREADS when set,
 /// else std::thread::hardware_concurrency(). 1 disables the pool.

@@ -6,6 +6,7 @@
 #ifndef MODELSLICING_TENSOR_GEMM_INTERNAL_H_
 #define MODELSLICING_TENSOR_GEMM_INTERNAL_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "src/tensor/epilogue.h"
@@ -177,6 +178,20 @@ void MergeTile(const float* acc, int nr, int64_t i0, int64_t rows,
 void MergeTileEpi(const float* acc, int nr, int64_t i0, int64_t rows,
                   int64_t j0, int64_t cols, float beta, float* c,
                   int64_t ldc, const Epilogue& epi);
+
+/// Process-wide counters behind ops::GetPackStats (prepack.h): prepack.cc
+/// bumps the fp32 half, quant.cc the int8 half.
+struct PackCounters {
+  std::atomic<uint64_t> packs{0};
+  std::atomic<uint64_t> packed_floats{0};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> prepacked_calls{0};
+  std::atomic<uint64_t> quant_packs{0};
+  std::atomic<uint64_t> quant_packed_bytes{0};
+  std::atomic<uint64_t> quant_hits{0};
+  std::atomic<uint64_t> quantized_calls{0};
+};
+inline PackCounters g_pack_counters;
 
 }  // namespace detail
 }  // namespace ops

@@ -19,10 +19,7 @@ namespace ops {
 namespace {
 
 std::atomic<uint64_t> g_weight_generation{1};
-std::atomic<uint64_t> g_packs{0};
-std::atomic<uint64_t> g_packed_floats{0};
-std::atomic<uint64_t> g_hits{0};
-std::atomic<uint64_t> g_prepacked_calls{0};
+detail::PackCounters& g_stats = detail::g_pack_counters;
 
 /// Flops above which packing / the panel walk fans out over the pool.
 /// Same threshold as the Gemm driver so scheduling stays comparable.
@@ -45,7 +42,7 @@ void BetaMerge(int64_t m, int64_t n, float beta, float* c, int64_t ldc) {
 }
 
 /// BetaMerge then the epilogue post-pass — the k == 0 form of the fused
-/// writeback, matching GemmRefEx on a k == 0 problem bitwise.
+/// writeback, matching GemmRef on a k == 0 problem bitwise.
 void BetaMergeEpi(int64_t m, int64_t n, float beta, float* c, int64_t ldc,
                   const Epilogue& epi) {
   BetaMerge(m, n, beta, c, ldc);
@@ -118,8 +115,8 @@ void PackB(bool trans_b, int64_t k, int64_t n, const float* b, int64_t ldb,
   pack->src_ = b;
   pack->packed_floats_ = total;
   pack->generation_ = WeightGeneration();
-  g_packs.fetch_add(1, std::memory_order_relaxed);
-  g_packed_floats.fetch_add(static_cast<uint64_t>(total),
+  g_stats.packs.fetch_add(1, std::memory_order_relaxed);
+  g_stats.packed_floats.fetch_add(static_cast<uint64_t>(total),
                             std::memory_order_relaxed);
 }
 
@@ -129,7 +126,7 @@ bool EnsurePackedB(bool trans_b, int64_t k, int64_t n, const float* b,
   if (pack->role_ == PackedMatrix::Role::kB && pack->trans_ == trans_b &&
       pack->rows_ == k && pack->cols_ == n && pack->ld_ == ldb &&
       pack->src_ == b && pack->generation_ == WeightGeneration()) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
+    g_stats.hits.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   PackB(trans_b, k, n, b, ldb, pack);
@@ -139,20 +136,12 @@ bool EnsurePackedB(bool trans_b, int64_t k, int64_t n, const float* b,
 void GemmPrepackedB(bool trans_a, int64_t m, int64_t n, int64_t k,
                     float alpha, const float* a, int64_t lda,
                     const PackedMatrix& bpack, float beta, float* c,
-                    int64_t ldc) {
-  GemmPrepackedBEx(trans_a, m, n, k, alpha, a, lda, bpack, beta, c, ldc,
-                   Epilogue{});
-}
-
-void GemmPrepackedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const PackedMatrix& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi) {
+                    int64_t ldc, const Epilogue& epi) {
   using detail::CeilDiv;
   MS_CHECK(bpack.role_ == PackedMatrix::Role::kB);
   MS_CHECK(k <= bpack.rows_ && n <= bpack.cols_);
   if (m <= 0 || n <= 0) return;
-  g_prepacked_calls.fetch_add(1, std::memory_order_relaxed);
+  g_stats.prepacked_calls.fetch_add(1, std::memory_order_relaxed);
   if (k <= 0) {
     BetaMergeEpi(m, n, beta, c, ldc, epi);
     return;
@@ -284,8 +273,8 @@ void PackA(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
   pack->src_ = a;
   pack->packed_floats_ = total;
   pack->generation_ = WeightGeneration();
-  g_packs.fetch_add(1, std::memory_order_relaxed);
-  g_packed_floats.fetch_add(static_cast<uint64_t>(total),
+  g_stats.packs.fetch_add(1, std::memory_order_relaxed);
+  g_stats.packed_floats.fetch_add(static_cast<uint64_t>(total),
                             std::memory_order_relaxed);
 }
 
@@ -295,7 +284,7 @@ bool EnsurePackedA(bool trans_a, int64_t m, int64_t k, const float* a,
   if (pack->role_ == PackedMatrix::Role::kA && pack->trans_ == trans_a &&
       pack->rows_ == m && pack->cols_ == k && pack->ld_ == lda &&
       pack->src_ == a && pack->generation_ == WeightGeneration()) {
-    g_hits.fetch_add(1, std::memory_order_relaxed);
+    g_stats.hits.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   PackA(trans_a, m, k, a, lda, pack);
@@ -304,20 +293,13 @@ bool EnsurePackedA(bool trans_a, int64_t m, int64_t k, const float* a,
 
 void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
                     const PackedMatrix& apack, bool trans_b, const float* b,
-                    int64_t ldb, float beta, float* c, int64_t ldc) {
-  GemmPrepackedAEx(m, n, k, apack, trans_b, b, ldb, beta, c, ldc,
-                   Epilogue{});
-}
-
-void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
-                      const PackedMatrix& apack, bool trans_b,
-                      const float* b, int64_t ldb, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi) {
+                    int64_t ldb, float beta, float* c, int64_t ldc,
+                    const Epilogue& epi) {
   using detail::CeilDiv;
   MS_CHECK(apack.role_ == PackedMatrix::Role::kA);
   MS_CHECK(m <= apack.rows_ && k <= apack.cols_);
   if (m <= 0 || n <= 0) return;
-  g_prepacked_calls.fetch_add(1, std::memory_order_relaxed);
+  g_stats.prepacked_calls.fetch_add(1, std::memory_order_relaxed);
   if (k <= 0) {
     BetaMergeEpi(m, n, beta, c, ldc, epi);
     return;
@@ -394,28 +376,41 @@ void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
 // ---------------------------------------------------------------------------
 
 PackStats GetPackStats() {
+  auto load = [](const std::atomic<uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
   PackStats s;
-  s.packs = g_packs.load(std::memory_order_relaxed);
-  s.packed_floats = g_packed_floats.load(std::memory_order_relaxed);
-  s.hits = g_hits.load(std::memory_order_relaxed);
-  s.prepacked_calls = g_prepacked_calls.load(std::memory_order_relaxed);
+  s.packs = load(g_stats.packs);
+  s.packed_floats = load(g_stats.packed_floats);
+  s.hits = load(g_stats.hits);
+  s.prepacked_calls = load(g_stats.prepacked_calls);
+  s.quant_packs = load(g_stats.quant_packs);
+  s.quant_packed_bytes = load(g_stats.quant_packed_bytes);
+  s.quant_hits = load(g_stats.quant_hits);
+  s.quantized_calls = load(g_stats.quantized_calls);
   return s;
 }
 
 uint64_t TotalPackCount() {
-  return g_packs.load(std::memory_order_relaxed);
+  const PackStats s = GetPackStats();
+  return s.packs + s.quant_packs;
 }
 
 void PublishPackMetrics() {
   const PackStats s = GetPackStats();
   auto& registry = obs::MetricsRegistry::Global();
-  registry.GetGauge("ms_gemm_pack_count")
-      ->Set(static_cast<double>(s.packs));
-  registry.GetGauge("ms_gemm_pack_bytes")
-      ->Set(static_cast<double>(s.packed_floats) * sizeof(float));
-  registry.GetGauge("ms_gemm_pack_hits")->Set(static_cast<double>(s.hits));
-  registry.GetGauge("ms_gemm_prepacked_calls")
-      ->Set(static_cast<double>(s.prepacked_calls));
+  auto set = [&](const char* name, double v) {
+    registry.GetGauge(name)->Set(v);
+  };
+  set("ms_gemm_pack_count", static_cast<double>(s.packs));
+  set("ms_gemm_pack_bytes",
+      static_cast<double>(s.packed_floats) * sizeof(float));
+  set("ms_gemm_pack_hits", static_cast<double>(s.hits));
+  set("ms_gemm_prepacked_calls", static_cast<double>(s.prepacked_calls));
+  set("ms_quant_pack_count", static_cast<double>(s.quant_packs));
+  set("ms_quant_pack_bytes", static_cast<double>(s.quant_packed_bytes));
+  set("ms_quant_pack_hits", static_cast<double>(s.quant_hits));
+  set("ms_quant_gemm_calls", static_cast<double>(s.quantized_calls));
 }
 
 }  // namespace ops

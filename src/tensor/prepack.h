@@ -85,21 +85,14 @@ class PackedMatrix {
                             PackedMatrix*);
   friend void GemmPrepackedB(bool, int64_t, int64_t, int64_t, float,
                              const float*, int64_t, const PackedMatrix&,
-                             float, float*, int64_t);
-  friend void GemmPrepackedBEx(bool, int64_t, int64_t, int64_t, float,
-                               const float*, int64_t, const PackedMatrix&,
-                               float, float*, int64_t, const Epilogue&);
+                             float, float*, int64_t, const Epilogue&);
   friend void PackA(bool, int64_t, int64_t, const float*, int64_t,
                     PackedMatrix*);
   friend bool EnsurePackedA(bool, int64_t, int64_t, const float*, int64_t,
                             PackedMatrix*);
   friend void GemmPrepackedA(int64_t, int64_t, int64_t, const PackedMatrix&,
                              bool, const float*, int64_t, float, float*,
-                             int64_t);
-  friend void GemmPrepackedAEx(int64_t, int64_t, int64_t,
-                               const PackedMatrix&, bool, const float*,
-                               int64_t, float, float*, int64_t,
-                               const Epilogue&);
+                             int64_t, const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `floats` floats (reuses the
   /// existing allocation when large enough).
@@ -133,22 +126,16 @@ void PackB(bool trans_b, int64_t k, int64_t n, const float* b, int64_t ldb,
 bool EnsurePackedB(bool trans_b, int64_t k, int64_t n, const float* b,
                    int64_t ldb, PackedMatrix* pack);
 
-/// C = alpha * op(A) * Bpack[:k, :n] + beta * C. k/n may be any prefix of
-/// the packed extents (slice rates); bitwise-equal to the corresponding
-/// Gemm call. Small M runs the skinny kernel — no A packing at all — up to
-/// the active kernel's accumulator capacity (4 rows for AVX2, 8 portable);
-/// larger M packs only the activation and reuses the panels.
+/// C = alpha * op(A) * Bpack[:k, :n] + beta * C, then `epi` at
+/// C-writeback. k/n may be any prefix of the packed extents (slice rates);
+/// bitwise-equal to the corresponding Gemm call. Small M runs the skinny
+/// kernel — no A packing at all — up to the active kernel's accumulator
+/// capacity (4 rows for AVX2, 8 portable); larger M packs only the
+/// activation and reuses the panels.
 void GemmPrepackedB(bool trans_a, int64_t m, int64_t n, int64_t k,
                     float alpha, const float* a, int64_t lda,
                     const PackedMatrix& bpack, float beta, float* c,
-                    int64_t ldc);
-
-/// GemmPrepackedB with a fused epilogue at C-writeback; bitwise identical
-/// to GemmPrepackedB followed by the same post-pass (see epilogue.h).
-void GemmPrepackedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const PackedMatrix& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi);
+                    int64_t ldc, const Epilogue& epi = {});
 
 // ---------------------------------------------------------------------------
 // A-role packs (op(A) is M x K). Weights used as the left operand: conv
@@ -165,39 +152,43 @@ void PackA(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
 bool EnsurePackedA(bool trans_a, int64_t m, int64_t k, const float* a,
                    int64_t lda, PackedMatrix* pack);
 
-/// C = Apack[:m, :k] * op(B) + beta * C (alpha == 1). m/k may be any
-/// prefix of the packed extents; bitwise-equal to the corresponding Gemm.
+/// C = Apack[:m, :k] * op(B) + beta * C (alpha == 1), then `epi` at
+/// C-writeback (conv bias is the per_row case: one value per output
+/// channel / C row). m/k may be any prefix of the packed extents;
+/// bitwise-equal to the corresponding Gemm.
 void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
                     const PackedMatrix& apack, bool trans_b, const float* b,
-                    int64_t ldb, float beta, float* c, int64_t ldc);
-
-/// GemmPrepackedA with a fused epilogue at C-writeback (conv bias is the
-/// per_row case: one value per output channel / C row).
-void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
-                      const PackedMatrix& apack, bool trans_b,
-                      const float* b, int64_t ldb, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi);
+                    int64_t ldb, float beta, float* c, int64_t ldc,
+                    const Epilogue& epi = {});
 
 // ---------------------------------------------------------------------------
-// Observability. Process-wide counters (relaxed atomics, cheap enough for
-// the hot path); PublishPackMetrics snapshots them into the global
-// metrics registry for benches / the serving engine.
+// Observability. Process-wide counters over both pack kinds — the fp32
+// panels here and the int8 panels of quant.h (relaxed atomics, cheap
+// enough for the hot path); PublishPackMetrics snapshots them into the
+// global metrics registry for benches / the serving engine.
 
 struct PackStats {
-  uint64_t packs = 0;            ///< Pack*/Ensure* executions that packed
+  uint64_t packs = 0;            ///< fp32 Pack*/Ensure* that packed
   uint64_t packed_floats = 0;    ///< floats written by those packs
-  uint64_t hits = 0;             ///< Ensure* calls satisfied by the cache
+  uint64_t hits = 0;             ///< fp32 Ensure* calls satisfied by cache
   uint64_t prepacked_calls = 0;  ///< GemmPrepacked{A,B} invocations
+  uint64_t quant_packs = 0;         ///< QuantizePackB/Ensure* that packed
+  uint64_t quant_packed_bytes = 0;  ///< quantized bytes written by those
+  uint64_t quant_hits = 0;          ///< EnsureQuantizedB cache hits
+  uint64_t quantized_calls = 0;     ///< GemmQuantized{B,WeightA} calls
 };
 
 PackStats GetPackStats();
 
-/// Test hook (like ScratchArena::TotalBlockAllocs): total packs performed
-/// by this process. Steady-state serving must keep it flat.
+/// Test hook (like ScratchArena::TotalBlockAllocs): total fp32 plus int8
+/// packs performed by this process. Steady-state serving must keep it
+/// flat.
 uint64_t TotalPackCount();
 
 /// Sets gauges ms_gemm_pack_count / ms_gemm_pack_bytes / ms_gemm_pack_hits
-/// / ms_gemm_prepacked_calls in obs::MetricsRegistry::Global().
+/// / ms_gemm_prepacked_calls (fp32) and ms_quant_pack_count /
+/// ms_quant_pack_bytes / ms_quant_pack_hits / ms_quant_gemm_calls (int8)
+/// in obs::MetricsRegistry::Global().
 void PublishPackMetrics();
 
 }  // namespace ops

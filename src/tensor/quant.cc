@@ -6,11 +6,9 @@
 #include "src/tensor/quant.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 
-#include "src/obs/metrics.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/gemm_internal.h"
 #include "src/tensor/prepack.h"
@@ -50,10 +48,7 @@ constexpr int kQNr = 16;
 /// per element is unchanged.
 constexpr int kQRowChunk = 32;
 
-std::atomic<uint64_t> g_qpacks{0};
-std::atomic<uint64_t> g_qpacked_bytes{0};
-std::atomic<uint64_t> g_qhits{0};
-std::atomic<uint64_t> g_qgemm_calls{0};
+detail::PackCounters& g_stats = detail::g_pack_counters;
 
 /// Symmetric round-to-nearest weight quantization; clamped to [-127, 127]
 /// so the representable range is sign-symmetric (no -128).
@@ -362,8 +357,8 @@ void QuantizePackB(bool trans_b, int64_t k, int64_t n, const float* b,
   pack->generation_ = WeightGeneration();
   pack->seg_ends_ = k_group_ends;
   pack->seg_quad_off_ = std::move(seg_quad_off);
-  g_qpacks.fetch_add(1, std::memory_order_relaxed);
-  g_qpacked_bytes.fetch_add(static_cast<uint64_t>(total),
+  g_stats.quant_packs.fetch_add(1, std::memory_order_relaxed);
+  g_stats.quant_packed_bytes.fetch_add(static_cast<uint64_t>(total),
                             std::memory_order_relaxed);
 }
 
@@ -375,7 +370,7 @@ bool EnsureQuantizedB(bool trans_b, int64_t k, int64_t n, const float* b,
       pack->cols_ == n && pack->ld_ == ldb && pack->src_ == b &&
       pack->generation_ == WeightGeneration() &&
       pack->seg_ends_ == k_group_ends) {
-    g_qhits.fetch_add(1, std::memory_order_relaxed);
+    g_stats.quant_hits.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   QuantizePackB(trans_b, k, n, b, ldb, k_group_ends, pack);
@@ -385,21 +380,13 @@ bool EnsureQuantizedB(bool trans_b, int64_t k, int64_t n, const float* b,
 void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
                     float alpha, const float* a, int64_t lda,
                     const QuantizedPack& bpack, float beta, float* c,
-                    int64_t ldc) {
-  GemmQuantizedBEx(trans_a, m, n, k, alpha, a, lda, bpack, beta, c, ldc,
-                   Epilogue{});
-}
-
-void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const QuantizedPack& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi) {
+                    int64_t ldc, const Epilogue& epi) {
   MS_CHECK(bpack.valid_);
   MS_CHECK_MSG(beta == 0.0f || beta == 1.0f,
                "GemmQuantizedB supports beta in {0, 1}");
   MS_CHECK(k <= bpack.rows_ && n <= bpack.cols_);
   if (m <= 0 || n <= 0) return;
-  g_qgemm_calls.fetch_add(1, std::memory_order_relaxed);
+  g_stats.quantized_calls.fetch_add(1, std::memory_order_relaxed);
   const int64_t s_act = ActiveSegments(bpack.seg_ends_, k);
   if (s_act == 0) {
     BetaMergeQEpi(m, n, beta, c, ldc, epi);
@@ -494,20 +481,14 @@ void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
 
 void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
                           const QuantizedPack& wpack_t, const float* b,
-                          int64_t ldb, float beta, float* c, int64_t ldc) {
-  GemmQuantizedWeightAEx(m, n, k, wpack_t, b, ldb, beta, c, ldc, Epilogue{});
-}
-
-void GemmQuantizedWeightAEx(int64_t m, int64_t n, int64_t k,
-                            const QuantizedPack& wpack_t, const float* b,
-                            int64_t ldb, float beta, float* c, int64_t ldc,
-                            const Epilogue& epi) {
+                          int64_t ldb, float beta, float* c, int64_t ldc,
+                          const Epilogue& epi) {
   MS_CHECK(wpack_t.valid_);
   MS_CHECK_MSG(beta == 0.0f || beta == 1.0f,
                "GemmQuantizedWeightA supports beta in {0, 1}");
   MS_CHECK(k <= wpack_t.rows_ && m <= wpack_t.cols_);
   if (m <= 0 || n <= 0) return;
-  g_qgemm_calls.fetch_add(1, std::memory_order_relaxed);
+  g_stats.quantized_calls.fetch_add(1, std::memory_order_relaxed);
   const int64_t s_act = ActiveSegments(wpack_t.seg_ends_, k);
   if (s_act == 0) {
     BetaMergeQEpi(m, n, beta, c, ldc, epi);
@@ -642,32 +623,6 @@ void GemmQuantizedWeightAEx(int64_t m, int64_t n, int64_t k,
 bool GemmHasInt8Avx2() { return detail::Avx2Int8Kernel() != nullptr; }
 
 bool GemmHasInt8Vnni() { return detail::VnniInt8Kernel() != nullptr; }
-
-// ---------------------------------------------------------------------------
-
-QuantStats GetQuantStats() {
-  QuantStats s;
-  s.packs = g_qpacks.load(std::memory_order_relaxed);
-  s.packed_bytes = g_qpacked_bytes.load(std::memory_order_relaxed);
-  s.hits = g_qhits.load(std::memory_order_relaxed);
-  s.quantized_calls = g_qgemm_calls.load(std::memory_order_relaxed);
-  return s;
-}
-
-uint64_t TotalQuantPackCount() {
-  return g_qpacks.load(std::memory_order_relaxed);
-}
-
-void PublishQuantMetrics() {
-  const QuantStats s = GetQuantStats();
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetGauge("ms_quant_pack_count")->Set(static_cast<double>(s.packs));
-  registry.GetGauge("ms_quant_pack_bytes")
-      ->Set(static_cast<double>(s.packed_bytes));
-  registry.GetGauge("ms_quant_pack_hits")->Set(static_cast<double>(s.hits));
-  registry.GetGauge("ms_quant_gemm_calls")
-      ->Set(static_cast<double>(s.quantized_calls));
-}
 
 }  // namespace ops
 }  // namespace ms

@@ -36,8 +36,9 @@
 // Staleness: EnsureQuantized* shares prepack.h's process-wide weight
 // generation — SGD::Step, CopyParams, LoadParams and the mutable_weight
 // accessors all bump it, so a quantized pack can never serve stale
-// weights, and steady-state serving never re-quantizes (QuantStats keeps
-// the counters the benches and CI gate on).
+// weights, and steady-state serving never re-quantizes (prepack.h's
+// PackStats counts int8 packs next to the fp32 ones; the benches and CI
+// gate on their sum).
 #ifndef MODELSLICING_TENSOR_QUANT_H_
 #define MODELSLICING_TENSOR_QUANT_H_
 
@@ -97,17 +98,11 @@ class QuantizedPack {
                                const std::vector<int64_t>&, QuantizedPack*);
   friend void GemmQuantizedB(bool, int64_t, int64_t, int64_t, float,
                              const float*, int64_t, const QuantizedPack&,
-                             float, float*, int64_t);
-  friend void GemmQuantizedBEx(bool, int64_t, int64_t, int64_t, float,
-                               const float*, int64_t, const QuantizedPack&,
-                               float, float*, int64_t, const Epilogue&);
+                             float, float*, int64_t, const Epilogue&);
   friend void GemmQuantizedWeightA(int64_t, int64_t, int64_t,
                                    const QuantizedPack&, const float*,
-                                   int64_t, float, float*, int64_t);
-  friend void GemmQuantizedWeightAEx(int64_t, int64_t, int64_t,
-                                     const QuantizedPack&, const float*,
-                                     int64_t, float, float*, int64_t,
-                                     const Epilogue&);
+                                   int64_t, float, float*, int64_t,
+                                   const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `bytes` (reuses the existing
   /// allocation when large enough).
@@ -153,41 +148,30 @@ bool EnsureQuantizedB(bool trans_b, int64_t k, int64_t n, const float* b,
                       int64_t ldb, const std::vector<int64_t>& k_group_ends,
                       QuantizedPack* pack);
 
-/// C = alpha * op(A) * Bq[:k, :n] + beta * C over the quantized pack.
-/// op(A) is dynamically quantized per row (one symmetric scale over the
-/// active k). k must be one of the pack's segment ends; n any prefix.
-/// beta must be 0 or 1 (the only values the layers use). Results are
-/// identical at every thread count and kernel flavor (AVX2/portable).
+/// C = alpha * op(A) * Bq[:k, :n] + beta * C over the quantized pack,
+/// then `epi` at the dequantized-tile merge into C (bitwise identical to
+/// the same per-element post-pass, epilogue.h). op(A) is dynamically
+/// quantized per row (one affine scale over the active k). k must be one
+/// of the pack's segment ends; n any prefix. beta must be 0 or 1 (the
+/// only values the layers use). Results are identical at every thread
+/// count and kernel flavor (AVX2/portable).
 void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
                     float alpha, const float* a, int64_t lda,
                     const QuantizedPack& bpack, float beta, float* c,
-                    int64_t ldc);
-
-/// GemmQuantizedB with a fused epilogue applied at the dequantized-tile
-/// merge into C; bitwise identical to GemmQuantizedB followed by the same
-/// per-element post-pass (epilogue.h), at any thread count.
-void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const QuantizedPack& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi);
+                    int64_t ldc, const Epilogue& epi = {});
 
 /// Conv flavor, weight on the left: C(m, n) = W[:m, :k] * b[:k, :n] +
 /// beta * C, where `wpack_t` packs op(B) = W^T — i.e. the SAME
 /// QuantizePackB(trans_b=true, K, M, w, K, ends) call the dense layers
 /// use. Internally computes C^T = op(b)^T * W^T with per-column (per
 /// output pixel) dynamic quantization of b and a transposed merge, so one
-/// pack format serves both operand roles. beta must be 0 or 1.
+/// pack format serves both operand roles. beta must be 0 or 1. `epi` is
+/// applied at C-writeback (conv bias is the per_row case: one value per
+/// output channel / C row).
 void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
                           const QuantizedPack& wpack_t, const float* b,
-                          int64_t ldb, float beta, float* c, int64_t ldc);
-
-/// GemmQuantizedWeightA with a fused epilogue (conv bias is the per_row
-/// case: one value per output channel / C row). Bitwise identical to the
-/// unfused call followed by the same post-pass.
-void GemmQuantizedWeightAEx(int64_t m, int64_t n, int64_t k,
-                            const QuantizedPack& wpack_t, const float* b,
-                            int64_t ldb, float beta, float* c, int64_t ldc,
-                            const Epilogue& epi);
+                          int64_t ldb, float beta, float* c, int64_t ldc,
+                          const Epilogue& epi = {});
 
 /// True when the int8 path runs the AVX2 madd kernel in this process.
 bool GemmHasInt8Avx2();
@@ -195,27 +179,6 @@ bool GemmHasInt8Avx2();
 /// True when the int8 path runs the AVX-512 VNNI (vpdpbusd) kernel in
 /// this process. Implies GemmHasInt8Avx2(); preferred when both hold.
 bool GemmHasInt8Vnni();
-
-// ---------------------------------------------------------------------------
-// Observability, mirroring prepack.h's PackStats. Process-wide counters;
-// steady-state serving must keep `packs` flat (the CI smoke job and the
-// server PackStats gate assert it together with the fp32 pack counter).
-
-struct QuantStats {
-  uint64_t packs = 0;            ///< QuantizePackB/Ensure* that packed
-  uint64_t packed_bytes = 0;     ///< quantized bytes written by those packs
-  uint64_t hits = 0;             ///< Ensure* calls satisfied by the cache
-  uint64_t quantized_calls = 0;  ///< GemmQuantized{B,WeightA} invocations
-};
-
-QuantStats GetQuantStats();
-
-/// Test hook: total quantized packs performed by this process.
-uint64_t TotalQuantPackCount();
-
-/// Sets gauges ms_quant_pack_count / ms_quant_pack_bytes /
-/// ms_quant_pack_hits / ms_quant_gemm_calls.
-void PublishQuantMetrics();
 
 }  // namespace ops
 }  // namespace ms

@@ -2,19 +2,23 @@
 // activation lifetime planner (src/tensor/activation_planner.h).
 //
 // The contract under test:
-//   * Every Ex entry point (GemmEx, GemmPrepackedBEx, GemmPrepackedAEx,
-//     GemmQuantizedBEx, GemmQuantizedWeightAEx) is bitwise identical to
-//     its unfused sibling followed by the same per-element post-pass
-//     (detail::EpiApply), for every epilogue shape (bias per-row/per-col,
-//     scale-shift, each activation), transpose combination, slice prefix,
-//     and thread count. GemmRefEx is the independent oracle for GemmEx.
+//   * Every GEMM entry point (Gemm, GemmPrepackedB, GemmPrepackedA,
+//     GemmQuantizedB, GemmQuantizedWeightA) called with an epilogue is
+//     bitwise identical to the same call without one followed by the same
+//     per-element post-pass (detail::EpiApply), for every epilogue shape
+//     (bias per-row/per-col, scale-shift, each activation), transpose
+//     combination, slice prefix, and thread count. GemmRef with an
+//     epilogue is the independent oracle for Gemm.
 //   * PlanActivations never aliases overlapping lifetimes, reuses bytes
 //     for disjoint ones, and packed_bytes >= peak_live_bytes always.
 //   * With an arena bound (and planned), model forwards are bitwise equal
 //     to heap runs, steady-state repeats allocate zero slabs, and
 //     gradient checks stay green.
-//   * Whole zoo models run fused vs unfused (SetFuseEpilogues toggle)
-//     bitwise identically at several slice rates and both precisions.
+//   * Whole zoo models run bitwise identically to a parameter-copied twin
+//     whose fusion marks were cleared, at several slice rates, both
+//     precisions, and in training as well as inference forwards.
+//   * Layer biases ride the GEMM epilogue in training too, bitwise equal
+//     to the GEMM followed by a separate bias pass.
 //
 // This TU applies detail::EpiApply as a reference post-pass; its
 // scale-shift is a contractible mul+add, so tests/CMakeLists.txt compiles
@@ -27,10 +31,17 @@
 #include "gtest/gtest.h"
 #include "src/models/cnn.h"
 #include "src/models/mlp.h"
+#include "src/nn/activations.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/depthwise_conv.h"
 #include "src/nn/fusion.h"
+#include "src/nn/grouped_conv.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
+#include "src/nn/norm.h"
+#include "src/nn/residual.h"
+#include "src/nn/serialize.h"
 #include "src/tensor/activation_arena.h"
 #include "src/tensor/activation_planner.h"
 #include "src/tensor/epilogue.h"
@@ -38,6 +49,7 @@
 #include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
 #include "tests/gradcheck_util.h"
 
@@ -47,14 +59,11 @@ namespace {
 using ops::Epilogue;
 using ops::EpiAct;
 
-// Restores the global thread count / fusion toggle on scope exit so a
-// failing ASSERT cannot leak state into later tests.
+// Restores the global thread count on scope exit so a failing ASSERT
+// cannot leak state into later tests.
 struct GlobalStateGuard {
   int threads = ops::ComputeThreads();
-  ~GlobalStateGuard() {
-    ops::SetComputeThreads(threads);
-    ops::SetFuseEpilogues(true);
-  }
+  ~GlobalStateGuard() { ops::SetComputeThreads(threads); }
 };
 
 // Reference post-pass over the logical (m, n) block of C. Same scalar
@@ -126,10 +135,10 @@ void ExpectBitwise(const Tensor& got, const Tensor& want, const char* what) {
 }
 
 // ---------------------------------------------------------------------------
-// GemmEx vs GemmRefEx (oracle) and vs unfused + reference post-pass.
+// Gemm vs the GemmRef oracle and vs unfused + reference post-pass.
 // ---------------------------------------------------------------------------
 
-TEST(FusedGemm, GemmExMatchesOracleEverywhere) {
+TEST(FusedGemm, GemmMatchesOracleEverywhere) {
   GlobalStateGuard guard;
   Rng rng(401);
   struct Shape {
@@ -156,15 +165,15 @@ TEST(FusedGemm, GemmExMatchesOracleEverywhere) {
             ApplyEpilogueReference(epi, s.m, s.n, c_post.data(), ldc);
             // Independent scalar oracle.
             Tensor c_ref = c0;
-            ops::GemmRefEx(ta, tb, s.m, s.n, s.k, 1.0f, a.data(), lda,
-                           b.data(), ldb, beta, c_ref.data(), ldc, epi);
-            ExpectBitwise(c_ref, c_post, "GemmRefEx vs unfused+post-pass");
+            ops::GemmRef(ta, tb, s.m, s.n, s.k, 1.0f, a.data(), lda,
+                         b.data(), ldb, beta, c_ref.data(), ldc, epi);
+            ExpectBitwise(c_ref, c_post, "GemmRef vs unfused+post-pass");
             for (int threads : {1, 3}) {
               ops::SetComputeThreads(threads);
               Tensor c = c0;
-              ops::GemmEx(ta, tb, s.m, s.n, s.k, 1.0f, a.data(), lda,
-                          b.data(), ldb, beta, c.data(), ldc, epi);
-              ExpectBitwise(c, c_ref, "GemmEx vs GemmRefEx");
+              ops::Gemm(ta, tb, s.m, s.n, s.k, 1.0f, a.data(), lda,
+                        b.data(), ldb, beta, c.data(), ldc, epi);
+              ExpectBitwise(c, c_ref, "Gemm vs GemmRef");
             }
           }
         }
@@ -177,7 +186,7 @@ TEST(FusedGemm, GemmExMatchesOracleEverywhere) {
 // Prepacked flavors, including slice prefixes of the packed extents.
 // ---------------------------------------------------------------------------
 
-TEST(FusedGemm, PrepackedBExMatchesUnfusedPlusPostPass) {
+TEST(FusedGemm, PrepackedBMatchesUnfusedPlusPostPass) {
   GlobalStateGuard guard;
   Rng rng(402);
   const int64_t m = 21, n_full = 40, k_full = 48;
@@ -200,9 +209,9 @@ TEST(FusedGemm, PrepackedBExMatchesUnfusedPlusPostPass) {
           for (int threads : {1, 3}) {
             ops::SetComputeThreads(threads);
             Tensor c = c0;
-            ops::GemmPrepackedBEx(false, m, n, k_full, 1.0f, a.data(),
-                                  k_full, pack, beta, c.data(), n, epi);
-            ExpectBitwise(c, c_ref, "GemmPrepackedBEx");
+            ops::GemmPrepackedB(false, m, n, k_full, 1.0f, a.data(),
+                                k_full, pack, beta, c.data(), n, epi);
+            ExpectBitwise(c, c_ref, "GemmPrepackedB");
           }
         }
       }
@@ -210,7 +219,7 @@ TEST(FusedGemm, PrepackedBExMatchesUnfusedPlusPostPass) {
   }
 }
 
-TEST(FusedGemm, PrepackedAExMatchesUnfusedPlusPostPass) {
+TEST(FusedGemm, PrepackedAMatchesUnfusedPlusPostPass) {
   GlobalStateGuard guard;
   Rng rng(403);
   const int64_t m = 24, n = 33, k = 40;
@@ -232,9 +241,9 @@ TEST(FusedGemm, PrepackedAExMatchesUnfusedPlusPostPass) {
         for (int threads : {1, 3}) {
           ops::SetComputeThreads(threads);
           Tensor c = c0;
-          ops::GemmPrepackedAEx(m, n, k, pack, false, b.data(), n, beta,
-                                c.data(), n, epi);
-          ExpectBitwise(c, c_ref, "GemmPrepackedAEx");
+          ops::GemmPrepackedA(m, n, k, pack, false, b.data(), n, beta,
+                              c.data(), n, epi);
+          ExpectBitwise(c, c_ref, "GemmPrepackedA");
         }
       }
     }
@@ -245,7 +254,7 @@ TEST(FusedGemm, PrepackedAExMatchesUnfusedPlusPostPass) {
 // Quantized flavors: k must hit a pack segment end, beta in {0, 1}.
 // ---------------------------------------------------------------------------
 
-TEST(FusedGemm, QuantizedBExMatchesUnfusedPlusPostPass) {
+TEST(FusedGemm, QuantizedBMatchesUnfusedPlusPostPass) {
   GlobalStateGuard guard;
   Rng rng(404);
   const int64_t m = 19, n_full = 36, k_full = 48;
@@ -270,9 +279,9 @@ TEST(FusedGemm, QuantizedBExMatchesUnfusedPlusPostPass) {
             for (int threads : {1, 3}) {
               ops::SetComputeThreads(threads);
               Tensor c = c0;
-              ops::GemmQuantizedBEx(false, m, n, k, 1.0f, a.data(), k_full,
-                                    pack, beta, c.data(), n, epi);
-              ExpectBitwise(c, c_ref, "GemmQuantizedBEx");
+              ops::GemmQuantizedB(false, m, n, k, 1.0f, a.data(), k_full,
+                                  pack, beta, c.data(), n, epi);
+              ExpectBitwise(c, c_ref, "GemmQuantizedB");
             }
           }
         }
@@ -281,7 +290,7 @@ TEST(FusedGemm, QuantizedBExMatchesUnfusedPlusPostPass) {
   }
 }
 
-TEST(FusedGemm, QuantizedWeightAExMatchesUnfusedPlusPostPass) {
+TEST(FusedGemm, QuantizedWeightAMatchesUnfusedPlusPostPass) {
   GlobalStateGuard guard;
   Rng rng(405);
   // Conv shape: C(m, n) = W[:m, :k] * b[:k, :n]; the pack holds W^T.
@@ -305,9 +314,9 @@ TEST(FusedGemm, QuantizedWeightAExMatchesUnfusedPlusPostPass) {
         for (int threads : {1, 3}) {
           ops::SetComputeThreads(threads);
           Tensor c = c0;
-          ops::GemmQuantizedWeightAEx(m_full, n, k, pack, b.data(), n, beta,
-                                      c.data(), n, epi);
-          ExpectBitwise(c, c_ref, "GemmQuantizedWeightAEx");
+          ops::GemmQuantizedWeightA(m_full, n, k, pack, b.data(), n, beta,
+                                    c.data(), n, epi);
+          ExpectBitwise(c, c_ref, "GemmQuantizedWeightA");
         }
       }
     }
@@ -457,15 +466,51 @@ TEST(ActivationPlanner, GradcheckGreenUnderArena) {
 // Whole-model fused vs unfused bitwise equality across rates/precisions.
 // ---------------------------------------------------------------------------
 
-void ExpectFusedMatchesUnfused(Module* net, const Tensor& x) {
-  for (double rate : {1.0, 0.5}) {
-    net->SetSliceRate(rate);
-    ops::SetFuseEpilogues(true);
-    Tensor y_fused = net->Forward(x, /*training=*/false);
-    ops::SetFuseEpilogues(false);
-    Tensor y_plain = net->Forward(x, /*training=*/false);
-    ops::SetFuseEpilogues(true);
-    ExpectBitwise(y_fused, y_plain, "fused vs unfused model forward");
+// Test-local inverse of FuseActivations: clears every planted activation
+// and bypass mark, so the twin runs the standalone activation modules.
+void ClearFusionMarks(Module* m) {
+  if (auto* seq = dynamic_cast<Sequential*>(m)) {
+    for (size_t i = 0; i < seq->size(); ++i) ClearFusionMarks(seq->child(i));
+  } else if (auto* res = dynamic_cast<ResidualBlock*>(m)) {
+    ClearFusionMarks(res->body());
+  } else if (auto* d = dynamic_cast<Dense*>(m)) {
+    d->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* c = dynamic_cast<Conv2d*>(m)) {
+    c->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* g = dynamic_cast<GroupedConv2d*>(m)) {
+    g->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(m)) {
+    dw->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* gn = dynamic_cast<GroupNorm*>(m)) {
+    gn->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* bn = dynamic_cast<BatchNorm*>(m)) {
+    bn->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* mbn = dynamic_cast<MultiBatchNorm*>(m)) {
+    mbn->SetFusedActivation(EpiAct::kNone);
+  } else if (auto* relu = dynamic_cast<ReLU*>(m)) {
+    relu->set_fused(false);
+  } else if (auto* th = dynamic_cast<Tanh*>(m)) {
+    th->set_fused(false);
+  }
+}
+
+// `twin` is a second build of `net`'s architecture: it gets net's
+// parameters and loses its fusion marks, then both must agree bitwise in
+// inference and training forwards at several rates.
+void ExpectFusedMatchesUnfused(Module* net, Module* twin, const Tensor& x) {
+  ASSERT_TRUE(CopyParams(net, twin).ok());
+  ClearFusionMarks(twin);
+  twin->SetPrecision(net->precision());
+  for (bool training : {false, true}) {
+    for (double rate : {1.0, 0.5}) {
+      net->SetSliceRate(rate);
+      twin->SetSliceRate(rate);
+      Tensor y_fused = net->Forward(x, training);
+      Tensor y_plain = twin->Forward(x, training);
+      ExpectBitwise(y_fused, y_plain,
+                    training ? "fused vs unfused training forward"
+                             : "fused vs unfused model forward");
+    }
   }
 }
 
@@ -477,9 +522,10 @@ TEST(ModelFusion, MlpFusedBitwiseEqualsUnfused) {
   cfg.num_classes = 8;
   cfg.group_norm = true;
   auto net = MakeMlp(cfg).MoveValueOrDie();
+  auto twin = MakeMlp(cfg).MoveValueOrDie();
   Rng rng(410);
   Tensor x = Tensor::Randn({5, cfg.in_features}, &rng);
-  ExpectFusedMatchesUnfused(net.get(), x);
+  ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
   // The build-time pass must have fused every Dense/GN -> ReLU pair, and
   // re-running it is a no-op (idempotence).
   EXPECT_EQ(FuseActivations(net.get()), FuseActivations(net.get()));
@@ -495,11 +541,12 @@ TEST(ModelFusion, VggFusedBitwiseEqualsUnfusedBothPrecisions) {
   cfg.blocks_per_stage = 1;
   cfg.slice_groups = 4;
   auto net = MakeVggSmall(cfg).MoveValueOrDie();
+  auto twin = MakeVggSmall(cfg).MoveValueOrDie();
   Rng rng(411);
   Tensor x = Tensor::Randn({2, 3, 12, 12}, &rng);
-  ExpectFusedMatchesUnfused(net.get(), x);
+  ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
   net->SetPrecision(Precision::kInt8);
-  ExpectFusedMatchesUnfused(net.get(), x);
+  ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
 }
 
 TEST(ModelFusion, LstmFusedBitwiseEqualsUnfusedBothPrecisions) {
@@ -511,10 +558,11 @@ TEST(ModelFusion, LstmFusedBitwiseEqualsUnfusedBothPrecisions) {
   opts.groups = 4;
   opts.slice_in = false;  // keep the test input full-width at every rate
   Lstm lstm(opts, &rng);
+  Lstm twin(opts, &rng);
   Tensor x = Tensor::Randn({6, 3, opts.input_size}, &rng);
-  ExpectFusedMatchesUnfused(&lstm, x);
+  ExpectFusedMatchesUnfused(&lstm, &twin, x);
   lstm.SetPrecision(Precision::kInt8);
-  ExpectFusedMatchesUnfused(&lstm, x);
+  ExpectFusedMatchesUnfused(&lstm, &twin, x);
 }
 
 TEST(ModelFusion, GruFusedBitwiseEqualsUnfusedBothPrecisions) {
@@ -526,10 +574,66 @@ TEST(ModelFusion, GruFusedBitwiseEqualsUnfusedBothPrecisions) {
   opts.groups = 2;
   opts.slice_in = false;  // keep the test input full-width at every rate
   Gru gru(opts, &rng);
+  Gru twin(opts, &rng);
   Tensor x = Tensor::Randn({5, 2, opts.input_size}, &rng);
-  ExpectFusedMatchesUnfused(&gru, x);
+  ExpectFusedMatchesUnfused(&gru, &twin, x);
   gru.SetPrecision(Precision::kInt8);
-  ExpectFusedMatchesUnfused(&gru, x);
+  ExpectFusedMatchesUnfused(&gru, &twin, x);
+}
+
+// Bias rides the GEMM epilogue in training forwards too; it must equal the
+// reference GEMM followed by a separate bias pass, bit for bit.
+TEST(ModelFusion, TrainingBiasInEpilogueEqualsSeparatePass) {
+  GlobalStateGuard guard;
+  Rng rng(415);
+  DenseOptions dopts;
+  dopts.in_features = 24;
+  dopts.out_features = 16;
+  dopts.groups = 4;
+  Dense dense(dopts, &rng);
+  dense.SetFusedActivation(EpiAct::kRelu);  // must not apply in training
+  for (int64_t o = 0; o < dopts.out_features; ++o) {
+    (*dense.mutable_bias())[o] = 0.1f * static_cast<float>(o) - 0.7f;
+  }
+  Conv2dOptions copts;
+  copts.in_channels = 4;
+  copts.out_channels = 8;
+  copts.groups = 2;
+  copts.bias = true;
+  Conv2d conv(copts, &rng);
+  for (int64_t o = 0; o < copts.out_channels; ++o) {
+    (*conv.mutable_bias())[o] = 0.2f * static_cast<float>(o) - 0.5f;
+  }
+  for (double rate : {1.0, 0.5}) {
+    dense.SetSliceRate(rate);
+    const int64_t m = dense.active_in(), n = dense.active_out();
+    Tensor x = Tensor::Randn({5, m}, &rng);
+    Tensor y = dense.Forward(x, /*training=*/true);
+    Tensor want({5, n});
+    ops::GemmRef(false, true, 5, n, m, 1.0f, x.data(), m,
+                 dense.weight().data(), dopts.in_features, 0.0f, want.data(),
+                 n);
+    for (int64_t i = 0; i < 5; ++i) {
+      for (int64_t j = 0; j < n; ++j) want[i * n + j] += dense.bias()[j];
+    }
+    ExpectBitwise(y, want, "Dense training forward vs GEMM + bias pass");
+
+    conv.SetSliceRate(rate);
+    const int64_t ci = conv.active_in(), co = conv.active_out();
+    const int64_t col_rows = ci * 9, area = 36;
+    Tensor img = Tensor::Randn({1, ci, 6, 6}, &rng);
+    Tensor yc = conv.Forward(img, /*training=*/true);
+    Tensor cols({col_rows, area});
+    ops::Im2Col(img.data(), ci, 6, 6, 3, 1, 1, cols.data());
+    Tensor want_c({1, co, 6, 6});
+    ops::GemmRef(false, false, co, area, col_rows, 1.0f,
+                 conv.weight().data(), copts.in_channels * 9, cols.data(),
+                 area, 0.0f, want_c.data(), area);
+    for (int64_t c = 0; c < co; ++c) {
+      for (int64_t p = 0; p < area; ++p) want_c[c * area + p] += conv.bias()[c];
+    }
+    ExpectBitwise(yc, want_c, "Conv2d training forward vs GEMM + bias pass");
+  }
 }
 
 // Thread-count invariance of the fused model path (the kernel contract

@@ -11,8 +11,12 @@
 //   * EnsurePacked* re-packs exactly when the cache key (pointer, shape,
 //     ld, transpose) or the process-wide weight generation changed; the
 //     generation is bumped by SGD::Step, CopyParams, and LoadParams.
-//   * SGD::Step's sharded update and Dense's parallel bias/b_grad loops
+//   * SGD::Step's sharded update and Dense's parallel b_grad loop
 //     are bitwise identical at any thread count.
+//   * SlicedMatmul (src/nn/sliced_matmul.h), the layers' one weight
+//     operator, is bitwise-equal to the entry point it routes to for both
+//     operand roles, both precisions, every lattice rate and any thread
+//     count, and Prepare repacks exactly when the weight generation moved.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -22,9 +26,11 @@
 #include "src/nn/dense.h"
 #include "src/nn/module.h"
 #include "src/nn/serialize.h"
+#include "src/nn/sliced_matmul.h"
 #include "src/optim/sgd.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/prepack.h"
+#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 
@@ -377,6 +383,123 @@ TEST(Dense, ForwardBackwardBitwiseAcrossThreadCounts) {
     }
   }
   ops::SetComputeThreads(1);
+}
+
+// ---------------------------------------------------------------------------
+// SlicedMatmul: W is (rows x cols) = (32 x 48) with four input groups, the
+// extents every lattice rate of a 4-group layer reads a prefix of.
+
+constexpr int64_t kMmRows = 32;
+constexpr int64_t kMmCols = 48;
+const std::vector<int64_t> kMmEnds = {12, 24, 36, 48};
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           static_cast<size_t>(got.size()) * sizeof(float)))
+      << what;
+}
+
+TEST(SlicedMatmul, MatchesDirectEntryPointsAtEveryRate) {
+  Rng rng(71);
+  Tensor w = Tensor::Randn({kMmRows, kMmCols}, &rng);
+  ops::Epilogue epi;
+  Tensor bias = Tensor::Randn({kMmRows}, &rng);
+  epi.bias = bias.data();
+  epi.act = ops::EpiAct::kRelu;
+  // Reference packs built with the direct calls the operator routes to.
+  ops::PackedMatrix ref_bt, ref_b, ref_a, ref_at;
+  ops::QuantizedPack ref_q;
+  ops::EnsurePackedB(true, kMmCols, kMmRows, w.data(), kMmCols, &ref_bt);
+  ops::EnsurePackedB(false, kMmRows, kMmCols, w.data(), kMmCols, &ref_b);
+  ops::EnsurePackedA(false, kMmRows, kMmCols, w.data(), kMmCols, &ref_a);
+  ops::EnsurePackedA(true, kMmCols, kMmRows, w.data(), kMmCols, &ref_at);
+  ops::EnsureQuantizedB(true, kMmCols, kMmRows, w.data(), kMmCols, kMmEnds,
+                        &ref_q);
+  const int64_t m = 6;  // batch rows (right role) / output pixels (left)
+  for (const auto role :
+       {SlicedMatmul::Role::kRight, SlicedMatmul::Role::kLeft}) {
+    const bool right = role == SlicedMatmul::Role::kRight;
+    epi.per_row = !right;  // bias per output unit: C column or C row
+    const float alpha = right ? 0.75f : 1.0f;
+    SlicedMatmul mm(role, &w, 0, kMmRows, kMmCols, kMmEnds);
+    for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
+      for (int g = 1; g <= 4; ++g) {  // rates 0.25, 0.5, 0.75, 1.0
+        const int64_t n = kMmRows * g / 4;
+        const int64_t k = kMmEnds[static_cast<size_t>(g - 1)];
+        Tensor x = Tensor::Randn({right ? m : k, right ? k : m}, &rng);
+        Tensor gy = Tensor::Randn({right ? m : n, right ? n : m}, &rng);
+        Tensor y_fp32({right ? m : n, right ? n : m});
+        Tensor y_ref = y_fp32;
+        Tensor dx_ref({right ? m : k, right ? k : m});
+        if (right) {
+          ops::GemmPrepackedB(false, m, n, k, alpha, x.data(), k, ref_bt,
+                              0.0f, y_fp32.data(), n, epi);
+        } else {
+          ops::GemmPrepackedA(n, m, k, ref_a, false, x.data(), m, 0.0f,
+                              y_fp32.data(), m, epi);
+        }
+        if (p == Precision::kFp32) {
+          y_ref = y_fp32;
+        } else if (right) {
+          ops::GemmQuantizedB(false, m, n, k, alpha, x.data(), k, ref_q,
+                              0.0f, y_ref.data(), n, epi);
+        } else {
+          ops::GemmQuantizedWeightA(n, m, k, ref_q, x.data(), m, 0.0f,
+                                    y_ref.data(), m, epi);
+        }
+        if (right) {
+          ops::GemmPrepackedB(false, m, k, n, alpha, gy.data(), n, ref_b,
+                              0.0f, dx_ref.data(), k);
+        } else {
+          ops::GemmPrepackedA(k, m, n, ref_at, false, gy.data(), m, 0.0f,
+                              dx_ref.data(), m);
+        }
+        for (int threads : {1, 4}) {
+          ops::SetComputeThreads(threads);
+          mm.Prepare(p, /*training=*/false);
+          Tensor y(y_ref.shape());
+          mm.Apply(m, n, k, alpha, x.data(), 0.0f, y.data(), epi);
+          ExpectSameBits(y, y_ref, "SlicedMatmul::Apply");
+          // Training contracts in fp32 whatever the precision.
+          mm.Prepare(p, /*training=*/true);
+          mm.Apply(m, n, k, alpha, x.data(), 0.0f, y.data(), epi);
+          ExpectSameBits(y, y_fp32, "SlicedMatmul::Apply in training");
+          Tensor dx(dx_ref.shape());
+          mm.ApplyTransposed(m, n, k, alpha, gy.data(), 0.0f, dx.data());
+          ExpectSameBits(dx, dx_ref, "SlicedMatmul::ApplyTransposed");
+        }
+      }
+    }
+  }
+  ops::SetComputeThreads(1);
+}
+
+TEST(SlicedMatmul, PrepareRepacksOnlyAfterAGenerationBump) {
+  Rng rng(72);
+  // Two gate blocks stacked in one tensor: the operator views the second.
+  Tensor w = Tensor::Randn({2 * kMmRows, kMmCols}, &rng);
+  for (const auto role :
+       {SlicedMatmul::Role::kRight, SlicedMatmul::Role::kLeft}) {
+    SlicedMatmul mm(role, &w, kMmRows * kMmCols, kMmRows, kMmCols, kMmEnds);
+    for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
+      mm.Prepare(p, /*training=*/false);
+      ops::BumpWeightGeneration();
+      const uint64_t before = ops::TotalPackCount();
+      mm.Prepare(p, /*training=*/false);
+      EXPECT_EQ(ops::TotalPackCount(), before + 1) << "repack once";
+      mm.Prepare(p, /*training=*/false);
+      EXPECT_EQ(ops::TotalPackCount(), before + 1) << "no bump, no pack";
+    }
+    // Training readies the fp32 forward and backward packs together.
+    mm.Prepare(Precision::kFp32, /*training=*/true);
+    ops::BumpWeightGeneration();
+    const uint64_t before = ops::TotalPackCount();
+    mm.Prepare(Precision::kFp32, /*training=*/true);
+    EXPECT_EQ(ops::TotalPackCount(), before + 2);
+    mm.Prepare(Precision::kFp32, /*training=*/true);
+    EXPECT_EQ(ops::TotalPackCount(), before + 2);
+  }
 }
 
 }  // namespace

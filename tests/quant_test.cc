@@ -31,6 +31,7 @@
 #include "src/nn/serialize.h"
 #include "src/optim/sgd.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
@@ -359,13 +360,13 @@ TEST(QuantEnsure, CacheKeyAndGenerationSemantics) {
   Tensor b = Tensor::Randn({n, k}, &rng);
   Tensor b2 = Tensor::Randn({n, k}, &rng);
   QuantizedPack pack;
-  const ops::QuantStats before = ops::GetQuantStats();
+  const ops::PackStats before = ops::GetPackStats();
   EXPECT_TRUE(EnsureQuantizedB(true, k, n, b.data(), k, ends, &pack));
   EXPECT_FALSE(EnsureQuantizedB(true, k, n, b.data(), k, ends, &pack));
   EXPECT_FALSE(EnsureQuantizedB(true, k, n, b.data(), k, ends, &pack));
-  ops::QuantStats after = ops::GetQuantStats();
-  EXPECT_EQ(after.packs - before.packs, 1u);
-  EXPECT_EQ(after.hits - before.hits, 2u);
+  ops::PackStats after = ops::GetPackStats();
+  EXPECT_EQ(after.quant_packs - before.quant_packs, 1u);
+  EXPECT_EQ(after.quant_hits - before.quant_hits, 2u);
   // A generation bump makes the same key stale.
   ops::BumpWeightGeneration();
   EXPECT_TRUE(EnsureQuantizedB(true, k, n, b.data(), k, ends, &pack));
@@ -489,17 +490,17 @@ TEST(QuantModules, SteadyStateInt8ForwardNeverRequantizes) {
     net->SetSliceRate(r);
     (void)net->Forward(x, /*training=*/false);
   }
-  const uint64_t qpacks = ops::TotalQuantPackCount();
-  const ops::QuantStats warm = ops::GetQuantStats();
+  const uint64_t packs = ops::TotalPackCount();
+  const ops::PackStats warm = ops::GetPackStats();
   for (int iter = 0; iter < 3; ++iter) {
     for (const double r : rates) {
       net->SetSliceRate(r);
       (void)net->Forward(x, /*training=*/false);
     }
   }
-  EXPECT_EQ(ops::TotalQuantPackCount(), qpacks);
-  const ops::QuantStats steady = ops::GetQuantStats();
-  EXPECT_GT(steady.hits, warm.hits);
+  EXPECT_EQ(ops::TotalPackCount(), packs);
+  const ops::PackStats steady = ops::GetPackStats();
+  EXPECT_GT(steady.quant_hits, warm.quant_hits);
   EXPECT_GT(steady.quantized_calls, warm.quantized_calls);
 }
 

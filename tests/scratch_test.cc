@@ -7,6 +7,8 @@
 #include "src/nn/conv2d.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
+#include "src/nn/sliced_matmul.h"
+#include "src/tensor/prepack.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/scratch.h"
 #include "src/util/rng.h"
@@ -123,6 +125,31 @@ TEST(SteadyState, GruInferenceZeroArenaGrowth) {
   ExpectSteadyStateZeroArenaGrowth([&] {
     Tensor y = gru.Forward(x, /*training=*/false);
   });
+}
+
+// The weight operator every GEMM layer runs: once its packs exist,
+// Prepare is a cache check and Apply a kernel call — no arena growth and
+// no repacking, for either role and precision.
+TEST(SteadyState, SlicedMatmulPrepareApplyZeroAlloc) {
+  Rng rng(5);
+  const int64_t rows = 24, cols = 40, m = 6;
+  Tensor w = Tensor::Randn({rows, cols}, &rng);
+  Tensor x = Tensor::Randn({m, cols}, &rng);
+  Tensor y({m, rows});
+  SlicedMatmul right(SlicedMatmul::Role::kRight, &w, 0, rows, cols,
+                     {20, 40});
+  SlicedMatmul left(SlicedMatmul::Role::kLeft, &w, 0, rows, cols, {20, 40});
+  const uint64_t packs = ops::TotalPackCount();
+  ExpectSteadyStateZeroArenaGrowth([&] {
+    for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
+      right.Prepare(p, /*training=*/false);
+      right.Apply(m, rows / 2, 20, 1.0f, x.data(), 0.0f, y.data());
+      left.Prepare(p, /*training=*/false);
+      left.Apply(m, rows / 2, 20, 1.0f, x.data(), 0.0f, y.data());
+    }
+  });
+  // The first iteration packs all four forms; later ones pack nothing.
+  EXPECT_EQ(ops::TotalPackCount(), packs + 4);
 }
 
 // The RNN scratch buffers (gate pre-activations, step caches) are shape

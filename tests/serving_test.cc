@@ -212,6 +212,16 @@ TEST(LatencyScheduler, RejectsBadInt8Times) {
   }
 }
 
+TEST(LatencyScheduler, MaxBatchWithinBudgetScalesWithCheapestColumn) {
+  // Base rate 0.25 costs 0.0625 of a full sample: 16 / 0.0625 = 256.
+  EXPECT_EQ(MaxBatchWithinBudget(DefaultServing()), 256);
+  // Base-rate int8 admits 4x the fp32-only max batch
+  // (16 / (0.0625 * 0.25) = 1024).
+  auto cfg = DefaultServing();
+  cfg.full_sample_time_int8 = 0.25;
+  EXPECT_EQ(MaxBatchWithinBudget(cfg), 1024);
+}
+
 TEST(ServingSimulation, ElasticBeatsFixedTradeoffs) {
   auto sched = LatencyScheduler::Make(DefaultServing()).MoveValueOrDie();
   auto workload = GenerateWorkload(DefaultWorkload()).MoveValueOrDie();
