@@ -20,7 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "src/models/mlp.h"
-#include "src/obs/request_trace.h"
+#include "src/obs/trace.h"
 #include "src/serving/server.h"
 #include "src/tensor/activation_arena.h"
 #include "src/tensor/prepack.h"

@@ -33,7 +33,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
 #include "src/serving/latency_scheduler.h"
 #include "src/serving/server.h"
@@ -78,14 +77,13 @@ int Usage() {
       "           final accounting ledger as one JSON line at shutdown\n"
       "observability (any command):\n"
       "  --metrics_out=/path.jsonl   dump the metrics registry as JSONL\n"
-      "  --trace_out=/path.json      record a chrome://tracing trace\n"
+      "  --trace_out=/path.json      record a chrome://tracing trace (for\n"
+      "           serve: plus one lane of stage spans per request)\n"
       "serving observability (serve):\n"
-      "  --trace_requests_out=/p.jsonl  per-request lifecycle timelines\n"
-      "           (also rendered as request lanes into --trace_out)\n"
-      "  --decision_log_out=/p.jsonl    per-batch scheduler decisions with\n"
-      "           Eq. 3 predicted vs achieved cost and drift\n"
       "  --flight_recorder_dir=/dir     arm the serving black box: auto-\n"
-      "           dump recent events on quarantine/breaker-open/watchdog\n"
+      "           dump recent events on quarantine/breaker-open/watchdog,\n"
+      "           and the final ring (scheduler decisions with Eq. 3\n"
+      "           predicted vs achieved seconds) to flight-exit.jsonl\n"
       "fault injection (chaos testing, any command):\n"
       "  MS_FAULTS=point=prob[@param],...  e.g.\n"
       "  MS_FAULTS='server.forward.nan=0.05,server.worker.stall=0.05@0.02'\n"
@@ -358,11 +356,9 @@ int Serve(const Flags& flags) {
   // Serving observability: stage stamps feed the per-stage histograms the
   // summary below prints, so they are always on for `serve` (the stamps are
   // one clock read each; the overhead gate in bench_server_throughput keeps
-  // them honest). Request timelines and the flight recorder stay opt-in.
+  // them honest). Request lanes (--trace_out) and the flight recorder stay
+  // opt-in.
   obs::EnableStageStats(true);
-  if (flags.Has("trace_requests_out")) {
-    obs::RequestTraceLog::Global().Enable();
-  }
   if (flags.Has("flight_recorder_dir")) {
     const Status armed = obs::FlightRecorder::Global().ConfigureDumps(
         flags.GetString("flight_recorder_dir"));
@@ -520,27 +516,29 @@ int Serve(const Flags& flags) {
                 static_cast<long long>(h->count()), ps[0], ps[1], ps[2],
                 h->mean());
   }
-  const DecisionLog& decisions = server->decision_log();
-  const double drift = decisions.drift_ewma();
+  const double drift = server->cost_model_drift();
   if (std::isfinite(drift)) {
     std::printf(
-        "cost model: %lld decisions, drift EWMA |pred-achieved|/achieved "
+        "cost model: %lld batches, drift EWMA |pred-achieved|/achieved "
         "= %.3f\n",
-        static_cast<long long>(decisions.begun()), drift);
+        static_cast<long long>(s.batches), drift);
   }
-  if (flags.Has("decision_log_out")) {
-    const Status w =
-        decisions.WriteJsonl(flags.GetString("decision_log_out"));
-    if (!w.ok()) {
-      std::fprintf(stderr, "decision log dump: %s\n", w.ToString().c_str());
-      return 1;
-    }
-  }
-  const int64_t dumps = obs::FlightRecorder::Global().dumps_written();
+  auto& flight = obs::FlightRecorder::Global();
+  const int64_t dumps = flight.dumps_written();
   if (dumps > 0) {
     std::printf("flight recorder: %lld dump(s), last %s\n",
                 static_cast<long long>(dumps),
-                obs::FlightRecorder::Global().last_dump_path().c_str());
+                flight.last_dump_path().c_str());
+  }
+  if (flags.Has("flight_recorder_dir")) {
+    // The final ring, trip or not: every decision and how its batch settled.
+    const Status w = flight.DumpTo(flags.GetString("flight_recorder_dir") +
+                                   "/flight-exit.jsonl");
+    if (!w.ok()) {
+      std::fprintf(stderr, "flight recorder dump: %s\n",
+                   w.ToString().c_str());
+      return 1;
+    }
   }
   return accounted ? 0 : 1;
 }
@@ -570,19 +568,6 @@ int main(int argc, char** argv) {
     if (!s.ok()) {
       std::fprintf(stderr, "metrics dump: %s\n", s.ToString().c_str());
       if (rc == 0) rc = 1;
-    }
-  }
-  if (flags.Has("trace_requests_out")) {
-    auto& log = obs::RequestTraceLog::Global();
-    const Status s = log.WriteJsonl(flags.GetString("trace_requests_out"));
-    if (!s.ok()) {
-      std::fprintf(stderr, "request trace dump: %s\n", s.ToString().c_str());
-      if (rc == 0) rc = 1;
-    }
-    // With --trace_out too, lay the request timelines into the chrome trace
-    // as per-request lanes so both views land in one about:tracing file.
-    if (flags.Has("trace_out")) {
-      log.ExportChromeSpans(&obs::TraceCollector::Global());
     }
   }
   if (flags.Has("trace_out")) {

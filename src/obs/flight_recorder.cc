@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
@@ -36,7 +35,7 @@ int64_t WallClockMillis() {
 void AppendEventJson(std::ostringstream& os, const FlightEvent& e) {
   os << "{\"type\":\"event\",\"seq\":" << e.seq << ",\"ts_ns\":" << e.ts_ns
      << ",\"kind\":\"" << FlightEventKindName(e.kind) << "\",\"detail\":\""
-     << e.detail << "\",\"a\":" << e.a << ",\"b\":" << e.b
+     << JsonEscape(e.detail) << "\",\"a\":" << e.a << ",\"b\":" << e.b
      << ",\"x\":" << StrFormat("%g", e.x) << ",\"y\":" << StrFormat("%g", e.y)
      << "}\n";
 }
@@ -175,17 +174,7 @@ Status FlightRecorder::DumpTo(const std::string& path) const {
      << ",\"recorded\":" << recorded() << ",\"events\":" << events.size()
      << ",\"wall_ms\":" << WallClockMillis() << "}\n";
   for (const FlightEvent& e : events) AppendEventJson(os, e);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  const std::string jsonl = os.str();
-  const size_t written = std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != jsonl.size() || close_err != 0) {
-    return Status::IoError("short write: " + path);
-  }
-  return Status::OK();
+  return WriteTextFile(path, os.str());
 }
 
 void FlightRecorder::Clear() {

@@ -1,9 +1,11 @@
 // Black-box flight recorder for the serving path (DESIGN.md §8).
 //
-// A fixed-size lock-free ring of the most recent serving events —
+// A fixed-size lock-free ring of the most recent serving events — refused
 // admissions, scheduler decisions, serves, retries, failures, fault fires,
-// health transitions. It records continuously at negligible cost and is
-// dumped automatically ("tripped") the moment the self-healing machinery
+// health transitions. It is also the scheduler's record: a kDecision and
+// the kServe with the same batch id pair Eq. 3's predicted seconds with the
+// achieved ones. It records continuously at negligible cost and is dumped
+// automatically ("tripped") the moment the self-healing machinery
 // fires: replica quarantine, circuit-breaker open, or a watchdog
 // reschedule. The dump is a timestamped JSONL file holding the last N
 // events before the trip, so post-mortems can see what the server was doing
@@ -34,7 +36,7 @@ namespace ms {
 namespace obs {
 
 enum class FlightEventKind : int {
-  kAdmission = 0,   ///< request submitted; a = request id (or -1).
+  kAdmission = 0,   ///< request shed or rejected; detail = why.
   kDecision,        ///< batch scheduled; a = batch, b = n, x = rate, y = predicted s.
   kServe,           ///< batch served; a = batch, b = n, x = rate, y = achieved s.
   kRetry,           ///< batch attempt failed, retrying; a = batch, b = attempt.

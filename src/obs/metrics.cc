@@ -12,8 +12,26 @@ namespace obs {
 
 namespace {
 
-// JSON-escape a metric name (names are plain identifiers in practice, but
-// exports must stay parseable whatever callers pass).
+// Prometheus metric names allow [a-zA-Z0-9_:]; map the rest to '_'.
+std::string PromName(const std::string& s) {
+  std::string out = s;
+  for (char& c : out) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    if (!ok) c = '_';
+  }
+  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out = "_" + out;
+  return out;
+}
+
+std::string JsonDouble(double v) {
+  if (std::isnan(v)) return "null";
+  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
+  return StrFormat("%.9g", v);
+}
+
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -34,25 +52,18 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-// Prometheus metric names allow [a-zA-Z0-9_:]; map the rest to '_'.
-std::string PromName(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    if (!ok) c = '_';
+Status WriteTextFile(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IoError("cannot open for writing: " + path);
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out = "_" + out;
-  return out;
+  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  const int close_err = std::fclose(f);
+  if (written != contents.size() || close_err != 0) {
+    return Status::IoError("short write: " + path);
+  }
+  return Status::OK();
 }
-
-std::string JsonDouble(double v) {
-  if (std::isnan(v)) return "null";
-  if (std::isinf(v)) return v > 0 ? "1e308" : "-1e308";
-  return StrFormat("%.9g", v);
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
@@ -296,29 +307,12 @@ std::string MetricsRegistry::ToPrometheus() const {
   return os.str();
 }
 
-namespace {
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != contents.size() || close_err != 0) {
-    return Status::IoError("short write: " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status MetricsRegistry::WriteJsonl(const std::string& path) const {
-  return WriteFile(path, ToJsonl());
+  return WriteTextFile(path, ToJsonl());
 }
 
 Status MetricsRegistry::WritePrometheus(const std::string& path) const {
-  return WriteFile(path, ToPrometheus());
+  return WriteTextFile(path, ToPrometheus());
 }
 
 void MetricsRegistry::Reset() {

@@ -23,6 +23,13 @@
 namespace ms {
 namespace obs {
 
+/// JSON string-body escaping shared by every obs export.
+std::string JsonEscape(const std::string& s);
+
+/// Writes `contents` to `path`, truncating it: the one file writer behind
+/// the metrics, chrome-trace and flight-recorder exports.
+Status WriteTextFile(const std::string& path, const std::string& contents);
+
 /// \brief Monotonically increasing integer metric.
 class Counter {
  public:

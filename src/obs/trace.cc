@@ -1,9 +1,9 @@
 #include "src/obs/trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 
+#include "src/obs/metrics.h"
 #include "src/util/string_util.h"
 
 namespace ms {
@@ -27,25 +27,7 @@ std::atomic<int>& ThreadCounter() {
 // objects, valid while the span is open).
 thread_local std::vector<const std::string*> t_span_stack;
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+std::atomic<bool> g_stage_stats{false};
 
 }  // namespace
 
@@ -126,22 +108,25 @@ std::string TraceCollector::ToChromeJson() const {
 }
 
 Status TraceCollector::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  const std::string json = ToChromeJson();
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != json.size() || close_err != 0) {
-    return Status::IoError("short write: " + path);
-  }
-  return Status::OK();
+  return WriteTextFile(path, ToChromeJson());
 }
 
 TraceCollector& TraceCollector::Global() {
   static TraceCollector* collector = new TraceCollector();
   return *collector;
+}
+
+void EnableStageStats(bool on) {
+  g_stage_stats.store(on, std::memory_order_relaxed);
+}
+
+bool StageStatsEnabled() {
+  return g_stage_stats.load(std::memory_order_relaxed);
+}
+
+int64_t StageNowNanos() {
+  if (!g_stage_stats.load(std::memory_order_relaxed)) return 0;
+  return TraceCollector::NowNanos();
 }
 
 TraceSpan::TraceSpan(const char* name) : name_(name) { Open(); }

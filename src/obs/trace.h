@@ -43,8 +43,8 @@ class TraceCollector {
 
   void Record(std::string name, int64_t ts_ns, int64_t dur_ns, int depth);
   /// Record under an explicit lane id instead of the calling thread's —
-  /// used by exporters that lay synthetic timelines (e.g. one lane per
-  /// request) into the same chrome-trace file.
+  /// SliceServer lays each settled request on a synthetic lane this way,
+  /// so request lanes and worker spans share one chrome-trace file.
   void Record(std::string name, int64_t ts_ns, int64_t dur_ns, int tid,
               int depth);
 
@@ -80,6 +80,20 @@ class TraceCollector {
   std::vector<TraceEvent> events_;
   size_t max_events_ = 1u << 20;
 };
+
+/// First synthetic chrome-trace lane id; real thread ids stay far below
+/// it. SliceServer lays request lanes from here up.
+constexpr int kRequestLaneTid = 1000;
+
+/// Process-wide toggle for request-stage stamping (DESIGN.md §8). Off
+/// (the default), every stamp site costs one relaxed atomic load — the
+/// overhead gate in bench_server_throughput holds it to that.
+void EnableStageStats(bool on);
+bool StageStatsEnabled();
+
+/// TraceCollector::NowNanos() when stage stats are enabled; 0 when
+/// disabled. Callers treat 0 as "not stamped".
+int64_t StageNowNanos();
 
 /// \brief RAII span: records one complete event on destruction when the
 /// global collector is enabled at construction time.

@@ -52,6 +52,11 @@ double LatencyScheduler::SampleTime(Precision precision) const {
                                        : config_.full_sample_time;
 }
 
+double LatencyScheduler::PredictSeconds(int64_t n, double rate,
+                                        Precision precision) const {
+  return static_cast<double>(n) * rate * rate * SampleTime(precision);
+}
+
 TickDecision LatencyScheduler::Schedule(int n) const {
   TickDecision d;
   d.num_samples = n;
@@ -71,8 +76,7 @@ TickDecision LatencyScheduler::Schedule(int n) const {
     const double r = rates[i];
     for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
       if (p == Precision::kInt8 && !int8_enabled()) continue;
-      const double cost =
-          static_cast<double>(n) * r * r * SampleTime(p);
+      const double cost = PredictSeconds(n, r, p);
       if (cost <= budget + 1e-12) {
         d.rate = r;
         d.precision = p;
@@ -87,8 +91,7 @@ TickDecision LatencyScheduler::Schedule(int n) const {
   // Serve it at the cheapest operating point we have.
   d.rate = rates.front();
   d.precision = int8_enabled() ? Precision::kInt8 : Precision::kFp32;
-  d.processing_time = static_cast<double>(n) * d.rate * d.rate *
-                      SampleTime(d.precision);
+  d.processing_time = PredictSeconds(n, d.rate, d.precision);
   d.slo_met = false;
   d.accuracy = AccuracyAt(d.rate);
   return d;
@@ -114,8 +117,7 @@ TickDecision LatencyScheduler::ScheduleFixed(int n, double rate,
   d.num_samples = n;
   d.rate = rate;
   d.precision = precision;
-  d.processing_time =
-      static_cast<double>(n) * rate * rate * SampleTime(precision);
+  d.processing_time = PredictSeconds(n, rate, precision);
   d.slo_met = n == 0 || d.processing_time <= config_.latency_budget / 2.0;
   d.accuracy = AccuracyAt(config_.lattice.NearestRate(rate));
   return d;

@@ -7,6 +7,7 @@
 #ifndef MODELSLICING_SERVING_LATENCY_SCHEDULER_H_
 #define MODELSLICING_SERVING_LATENCY_SCHEDULER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/core/slice_config.h"
@@ -56,6 +57,11 @@ class LatencyScheduler {
 
   /// The calibrated per-sample cost of `precision` (the cost column).
   double SampleTime(Precision precision) const;
+
+  /// Eq. 3: predicted seconds for `n` samples at (`rate`, `precision`),
+  /// n * r^2 * t(precision). Every cost the scheduler and SliceServer
+  /// reason with comes from here.
+  double PredictSeconds(int64_t n, double rate, Precision precision) const;
 
   /// True when an int8 cost column is calibrated (the axis is usable).
   bool int8_enabled() const { return config_.full_sample_time_int8 > 0.0; }

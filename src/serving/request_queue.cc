@@ -2,10 +2,20 @@
 
 #include <cmath>
 
-#include "src/obs/request_trace.h"
+#include "src/obs/trace.h"
 #include "src/util/fault.h"
 
 namespace ms {
+
+const char* RequestOutcomeName(RequestOutcome outcome) {
+  switch (outcome) {
+    case RequestOutcome::kServed: return "served";
+    case RequestOutcome::kExpired: return "expired";
+    case RequestOutcome::kShedStop: return "shed";
+    case RequestOutcome::kFailed: return "failed";
+  }
+  return "unknown";
+}
 
 AdmitResult RequestQueue::Submit(double deadline_seconds,
                                  RequestDoneFn done) {
@@ -19,11 +29,7 @@ AdmitResult RequestQueue::Submit(double deadline_seconds,
   Request r;
   r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   r.enqueued = Request::Clock::now();
-  // One trace-clock read serves both stamps (0 when stage stats are off):
-  // admission control is synchronous inside this call, so the submit and
-  // queue-admit stages coincide by construction.
   r.submit_ns = obs::StageNowNanos();
-  r.admit_ns = r.submit_ns;
   if (done) {
     r.done = std::make_shared<RequestDoneFn>(std::move(done));
   }
@@ -48,6 +54,7 @@ RequestBatch RequestQueue::CutBatch(int64_t max_n) {
   std::vector<Request> all;
   queue_.PopAll(&all);
   RequestBatch out;
+  out.cut_ns = obs::StageNowNanos();
   std::vector<Request> leftover;
   const auto now = Request::Clock::now();
   for (auto& r : all) {

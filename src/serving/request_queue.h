@@ -29,6 +29,10 @@ enum class RequestOutcome : uint8_t {
   kFailed = 3,    ///< batch failed terminally (throw/poison after retry).
 };
 
+/// Lowercase outcome name ("served", "expired", "shed", "failed"); names
+/// the request lanes in the chrome trace.
+const char* RequestOutcomeName(RequestOutcome outcome);
+
 /// Per-request completion hook, invoked exactly once when an accepted
 /// request settles. Runs on a batcher or worker thread — keep it quick and
 /// never call back into the server from it. `rate` is the slice rate a
@@ -45,12 +49,11 @@ struct Request {
   Clock::time_point enqueued;
   /// Absolute expiry; Clock::time_point::max() means "no deadline".
   Clock::time_point deadline = Clock::time_point::max();
-  /// Lifecycle stamps on the trace clock (obs::StageNowNanos); 0 when stage
-  /// stats are disabled. One clock read covers both: admission happens
-  /// inside Submit, so submit == admit by construction and the per-stage
-  /// sums reconcile exactly with the end-to-end latency.
+  /// Submit stamp on the trace clock (obs::StageNowNanos); 0 when stage
+  /// stats are disabled. Admission happens inside Submit, so this one read
+  /// is both the submit and the queue-admit stamp, and the per-stage sums
+  /// reconcile exactly with the end-to-end latency.
   int64_t submit_ns = 0;
-  int64_t admit_ns = 0;
   /// Completion hook (null for fire-and-forget submits). shared_ptr so the
   /// Request stays cheaply copyable through batch cut / retry splitting.
   std::shared_ptr<RequestDoneFn> done;
@@ -74,11 +77,14 @@ enum class AdmitResult {
 /// What one batch cut produced: up to `max_n` live requests (oldest first)
 /// plus the deadline-expired requests dropped along the way (`expired` ==
 /// `expired_requests.size()`; the requests themselves are kept so their
-/// timelines can be traced).
+/// completion hooks fire and their lanes can be traced).
 struct RequestBatch {
   std::vector<Request> requests;
   std::vector<Request> expired_requests;
   int64_t expired = 0;
+  /// CutBatch's cut stamp (obs::StageNowNanos), read once the queue was
+  /// emptied, so every request in the batch was submitted before it.
+  int64_t cut_ns = 0;
 };
 
 class RequestQueue {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -11,7 +10,6 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
-#include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
 #include "src/tensor/activation_planner.h"
 #include "src/tensor/prepack.h"
@@ -20,6 +18,7 @@
 #include "src/util/fault.h"
 #include "src/util/logging.h"
 #include "src/util/stopwatch.h"
+#include "src/util/string_util.h"
 
 namespace ms {
 
@@ -104,10 +103,7 @@ Result<std::unique_ptr<SliceServer>> SliceServer::Create(
 
 SliceServer::SliceServer(std::vector<std::unique_ptr<Module>> replicas,
                          ServerOptions opts)
-    : opts_(std::move(opts)),
-      replicas_(std::move(replicas)),
-      decision_log_(static_cast<size_t>(
-          opts_.decision_log_capacity > 0 ? opts_.decision_log_capacity : 1)) {
+    : opts_(std::move(opts)), replicas_(std::move(replicas)) {
   queue_ = std::make_unique<RequestQueue>(opts_.max_queue);
   arenas_.resize(replicas_.size());
   for (int i = 0; i < static_cast<int>(replicas_.size()); ++i) {
@@ -304,12 +300,10 @@ Status SliceServer::Start() {
     calibrated_t_ = opts_.serving.full_sample_time;
     calibrated_t8_ = opts_.serving.full_sample_time_int8;
   }
-  if (opts_.prewarm) {
-    Prewarm();
-    // Lifetime-plan each (replica, rate) and pre-size the arenas, so the
-    // very first serving batch at any trained rate runs slab-alloc-free.
-    PlanActivationArenas();
-  }
+  Prewarm();
+  // Lifetime-plan each (replica, rate) and pre-size the arenas, so the very
+  // first serving batch at any trained rate runs slab-alloc-free.
+  PlanActivationArenas();
   auto scheduler = LatencyScheduler::Make(opts_.serving);
   MS_RETURN_NOT_OK(scheduler.status());
   scheduler_ =
@@ -371,9 +365,10 @@ AdmitResult SliceServer::Submit(double deadline_seconds,
   auto& flight = obs::FlightRecorder::Global();
   switch (result) {
     case AdmitResult::kAccepted:
+      // Counted, not flight-recorded: at serving rates accepted admissions
+      // would push the batch decisions out of the ring.
       accepted_.fetch_add(1, std::memory_order_relaxed);
       registry.GetCounter("ms_server_accepted_total")->Inc();
-      flight.Record(obs::FlightEventKind::kAdmission, "accepted");
       break;
     case AdmitResult::kShedQueueFull:
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -432,13 +427,10 @@ double SliceServer::WatchdogThreshold(int64_t n, double rate,
   // cost column — an int8 batch judged against the fp32 t would get ~3x
   // the grace it deserves. Scaled by the grace factor; floored so
   // scheduling jitter on tiny batches can't trip the watchdog.
-  const double t = precision == Precision::kInt8 &&
-                           opts_.serving.full_sample_time_int8 > 0.0
-                       ? opts_.serving.full_sample_time_int8
-                       : opts_.serving.full_sample_time;
-  const double expected = static_cast<double>(n) * rate * rate * t;
-  return std::max(opts_.health.watchdog_min_seconds,
-                  opts_.health.watchdog_factor * expected);
+  return std::max(
+      opts_.health.watchdog_min_seconds,
+      opts_.health.watchdog_factor *
+          scheduler_->PredictSeconds(n, rate, precision));
 }
 
 void SliceServer::FinishTicket() {
@@ -619,8 +611,9 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
   int64_t newly_expired = 0;
   double rate = 1.0;
   Precision precision = Precision::kFp32;
+  double predicted_seconds = 0.0;
   // Settled requests and their batch-shared stamps, moved out under the
-  // lock so histograms/timelines are folded in without holding tickets_mu_.
+  // lock so histograms and lanes are recorded without holding tickets_mu_.
   std::vector<Request> settled;
   std::vector<Request> expired_now;
   int64_t cut_ns = 0, formed_ns = 0, sched_ns = 0, fwd_start_ns = 0;
@@ -636,6 +629,7 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
     BatchTicket& t = it->second;
     rate = t.rate;
     precision = t.precision;
+    predicted_seconds = t.predicted_seconds;
     cut_ns = t.cut_ns;
     formed_ns = t.formed_ns;
     sched_ns = t.sched_ns;
@@ -682,9 +676,8 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
   if (newly_expired > 0) {
     expired_.fetch_add(newly_expired, std::memory_order_relaxed);
     registry.GetCounter("ms_server_expired_total")->Inc(newly_expired);
-    RecordFinished(expired_now, "expired", ticket_id, my_attempt, rate,
-                   cut_ns, formed_ns, sched_ns, fwd_start_ns,
-                   /*fwd_done_ns=*/0);
+    RecordFinished(expired_now, RequestOutcome::kExpired, rate, cut_ns,
+                   formed_ns, sched_ns, fwd_start_ns, /*fwd_done_ns=*/0);
   }
   switch (outcome) {
     case Outcome::kServe: {
@@ -693,6 +686,19 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
         std::lock_guard<std::mutex> lock(stats_mu_);
         min_rate_ = std::min(min_rate_, rate);
         max_batch_seconds_ = std::max(max_batch_seconds_, batch_seconds);
+        // Cost-model drift: this batch's |predicted - achieved| / achieved,
+        // folded into an EWMA seeded by the first served batch. The
+        // kDecision/kServe pair on the flight recorder carries both inputs.
+        if (batch_seconds > 0.0) {
+          constexpr double kDriftAlpha = 0.1;
+          const double drift =
+              std::abs(predicted_seconds - batch_seconds) / batch_seconds;
+          drift_ewma_ = std::isnan(drift_ewma_)
+                            ? drift
+                            : (1.0 - kDriftAlpha) * drift_ewma_ +
+                                  kDriftAlpha * drift;
+          registry.GetGauge("ms_sched_cost_model_drift")->Set(drift_ewma_);
+        }
       }
       registry.GetCounter("ms_server_served_total")->Inc(n);
       registry
@@ -705,20 +711,16 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
       // own cost column, so an int8 batch isn't read as "faster than r=1":
       // compared with the chosen rate, this exposes calibration drift and
       // contention.
-      const double t = precision == Precision::kInt8 &&
-                               opts_.serving.full_sample_time_int8 > 0.0
-                           ? opts_.serving.full_sample_time_int8
-                           : opts_.serving.full_sample_time;
-      if (t > 0.0 && n > 0) {
+      const double full_rate_seconds =
+          scheduler_->PredictSeconds(n, 1.0, precision);
+      if (full_rate_seconds > 0.0) {
         registry.GetHistogram("ms_server_achieved_rate", obs::RateBuckets())
-            ->Observe(
-                std::sqrt(batch_seconds / (static_cast<double>(n) * t)));
+            ->Observe(std::sqrt(batch_seconds / full_rate_seconds));
       }
       registry.GetGauge("ms_server_budget_utilization")
           ->Set(tick_seconds_ > 0.0 ? batch_seconds / tick_seconds_ : 0.0);
-      RecordFinished(settled, "served", ticket_id, my_attempt, rate, cut_ns,
+      RecordFinished(settled, RequestOutcome::kServed, rate, cut_ns,
                      formed_ns, sched_ns, fwd_start_ns, fwd_done_ns);
-      decision_log_.Settle(ticket_id, /*success=*/true, batch_seconds);
       flight.Record(obs::FlightEventKind::kServe, "batch served", ticket_id,
                     n, rate, batch_seconds);
       breaker_->OnSuccess();
@@ -730,7 +732,6 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
     case Outcome::kRetry: {
       retried_.fetch_add(1, std::memory_order_relaxed);
       registry.GetCounter("ms_server_retries_total")->Inc();
-      decision_log_.OnRetry(ticket_id);
       flight.Record(obs::FlightEventKind::kRetry, "attempt failed, retrying",
                     ticket_id, my_attempt);
       breaker_->OnFailure();
@@ -744,9 +745,8 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
     case Outcome::kFail: {
       failed_.fetch_add(n, std::memory_order_relaxed);
       registry.GetCounter("ms_server_failed_total")->Inc(n);
-      RecordFinished(settled, "failed", ticket_id, my_attempt, rate, cut_ns,
+      RecordFinished(settled, RequestOutcome::kFailed, rate, cut_ns,
                      formed_ns, sched_ns, fwd_start_ns, /*fwd_done_ns=*/0);
-      decision_log_.Settle(ticket_id, /*success=*/false, -1.0);
       flight.Record(obs::FlightEventKind::kFail, "batch failed terminally",
                     ticket_id, n, rate);
       breaker_->OnFailure();
@@ -759,7 +759,6 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
     case Outcome::kDiscard: {
       // Attempt-0 failure whose requests all expired: the ticket settled
       // as pure expiry above.
-      decision_log_.Settle(ticket_id, /*success=*/false, -1.0);
       FinishTicket();
       break;
     }
@@ -767,32 +766,25 @@ void SliceServer::FinalizeAttempt(int64_t ticket_id, int my_attempt,
 }
 
 void SliceServer::RecordFinished(const std::vector<Request>& requests,
-                                 const char* outcome, int64_t batch,
-                                 int attempt, double rate, int64_t cut_ns,
-                                 int64_t formed_ns, int64_t sched_ns,
-                                 int64_t fwd_start_ns, int64_t fwd_done_ns) {
+                                 RequestOutcome outcome, double rate,
+                                 int64_t cut_ns, int64_t formed_ns,
+                                 int64_t sched_ns, int64_t fwd_start_ns,
+                                 int64_t fwd_done_ns) {
   if (requests.empty()) return;
-  const bool served = fwd_done_ns > 0;
+  const bool served = outcome == RequestOutcome::kServed;
   // Completion hooks: every accepted request reaches exactly one terminal
   // RecordFinished (serve/fail from FinalizeAttempt, expiry at retry split,
   // cut or drain, shed at drain), so firing here is the exactly-once
   // completion contract Submit's `done` promises. Called outside every
   // server lock; retried batches pass only their settled requests.
-  {
-    RequestOutcome oc = RequestOutcome::kServed;
-    if (std::strcmp(outcome, "expired") == 0) {
-      oc = RequestOutcome::kExpired;
-    } else if (std::strcmp(outcome, "shed") == 0) {
-      oc = RequestOutcome::kShedStop;
-    } else if (std::strcmp(outcome, "failed") == 0) {
-      oc = RequestOutcome::kFailed;
-    }
-    const double done_rate = oc == RequestOutcome::kServed ? rate : 0.0;
-    for (const Request& r : requests) {
-      if (r.done && *r.done) (*r.done)(oc, done_rate);
-    }
+  const double done_rate = served ? rate : 0.0;
+  for (const Request& r : requests) {
+    if (r.done && *r.done) (*r.done)(outcome, done_rate);
   }
-  if (served && obs::StageStatsEnabled()) {
+  if (!obs::StageStatsEnabled()) return;
+  // Only a served batch stamped through its forward has fwd_done_ns.
+  const bool forwarded = fwd_done_ns > 0;
+  if (forwarded) {
     // Batch-shared stages are observed once per request on purpose: every
     // histogram then counts requests, and the mean of stage sums equals the
     // mean total (the 5%-reconciliation contract in DESIGN.md §8).
@@ -801,8 +793,8 @@ void SliceServer::RecordFinished(const std::vector<Request>& requests,
     const double dispatch_ms = StageMsFromStamps(sched_ns, fwd_start_ns);
     const double forward_ms = StageMsFromStamps(fwd_start_ns, fwd_done_ns);
     for (const Request& r : requests) {
-      if (r.admit_ns <= 0) continue;  // submitted while stamping was off
-      stage_queue_wait_->Observe(StageMsFromStamps(r.admit_ns, cut_ns));
+      if (r.submit_ns <= 0) continue;  // submitted while stamping was off
+      stage_queue_wait_->Observe(StageMsFromStamps(r.submit_ns, cut_ns));
       stage_batch_form_->Observe(batch_form_ms);
       stage_schedule_->Observe(schedule_ms);
       stage_dispatch_->Observe(dispatch_ms);
@@ -810,25 +802,35 @@ void SliceServer::RecordFinished(const std::vector<Request>& requests,
       stage_total_->Observe(StageMsFromStamps(r.submit_ns, fwd_done_ns));
     }
   }
-  auto& trace_log = obs::RequestTraceLog::Global();
-  if (!trace_log.enabled()) return;
-  const int64_t done_ns = obs::StageNowNanos();
+  auto& collector = obs::TraceCollector::Global();
+  if (!collector.enabled()) return;
+  // Request lanes: each request is a span with its stage spans nested
+  // inside, on one of kLanes synthetic tids far above any real thread id,
+  // so they group below the worker rows in about:tracing. A served span
+  // ends at fwd_done, so its five stages tile it exactly.
+  constexpr int kLanes = 32;
+  const int64_t end_ns = forwarded ? fwd_done_ns : obs::StageNowNanos();
   for (const Request& r : requests) {
-    obs::RequestTimeline t;
-    t.id = r.id;
-    t.batch = batch;
-    t.attempt = attempt;
-    t.rate = rate;
-    t.outcome = outcome;
-    t.submit_ns = r.submit_ns;
-    t.admit_ns = r.admit_ns;
-    t.cut_ns = cut_ns;
-    t.formed_ns = formed_ns;
-    t.sched_ns = sched_ns;
-    t.fwd_start_ns = fwd_start_ns;
-    t.fwd_done_ns = fwd_done_ns;
-    t.done_ns = done_ns;
-    trace_log.Append(t);
+    if (r.submit_ns <= 0) continue;
+    const int tid = obs::kRequestLaneTid + static_cast<int>(r.id % kLanes);
+    collector.Record(StrFormat("req %lld %s", static_cast<long long>(r.id),
+                               RequestOutcomeName(outcome)),
+                     r.submit_ns, end_ns - r.submit_ns, tid, /*depth=*/0);
+    struct Stage {
+      const char* name;
+      int64_t from, to;
+    };
+    const Stage stages[] = {
+        {"queue_wait", r.submit_ns, cut_ns},
+        {"batch_form", cut_ns, formed_ns},
+        {"schedule", formed_ns, sched_ns},
+        {"dispatch", sched_ns, fwd_start_ns},
+        {"forward", fwd_start_ns, fwd_done_ns},
+    };
+    for (const Stage& st : stages) {
+      if (st.from <= 0 || st.to < st.from) continue;
+      collector.Record(st.name, st.from, st.to - st.from, tid, /*depth=*/1);
+    }
   }
 }
 
@@ -897,15 +899,15 @@ void SliceServer::TickOnce() {
   const bool admit = breaker_->Allow();
   const int64_t max_n =
       admit ? MaxBatchWithinBudget(opts_.serving) : 0;
-  const int64_t cut_ns = obs::StageNowNanos();
   RequestBatch batch = queue_->CutBatch(max_n);
+  const int64_t cut_ns = batch.cut_ns;
   const int64_t formed_ns = obs::StageNowNanos();
   if (batch.expired > 0) {
     expired_.fetch_add(batch.expired, std::memory_order_relaxed);
     registry.GetCounter("ms_server_expired_total")->Inc(batch.expired);
-    RecordFinished(batch.expired_requests, "expired", /*batch=*/-1,
-                   /*attempt=*/0, /*rate=*/0.0, cut_ns, /*formed_ns=*/0,
-                   /*sched_ns=*/0, /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
+    RecordFinished(batch.expired_requests, RequestOutcome::kExpired,
+                   /*rate=*/0.0, cut_ns, /*formed_ns=*/0, /*sched_ns=*/0,
+                   /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
   }
   const int64_t depth_after = queue_->depth();
   registry.GetGauge("ms_server_backlog")->Set(depth_after);
@@ -927,11 +929,7 @@ void SliceServer::TickOnce() {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     ++in_flight_;
   }
-  const double full_t = opts_.serving.full_sample_time;
-  const double t8 = opts_.serving.full_sample_time_int8;
-  const double predicted_seconds = decision.processing_time;
   int64_t id = 0;
-  double headroom = std::numeric_limits<double>::quiet_NaN();
   {
     std::lock_guard<std::mutex> lock(tickets_mu_);
     id = next_ticket_++;
@@ -939,6 +937,7 @@ void SliceServer::TickOnce() {
     t.requests = std::move(batch.requests);
     t.rate = decision.rate;
     t.precision = decision.precision;
+    t.predicted_seconds = decision.processing_time;
     t.attempt = 0;
     t.start = SteadyClock::now();
     t.watchdog_seconds = WatchdogThreshold(n, decision.rate,
@@ -946,43 +945,14 @@ void SliceServer::TickOnce() {
     t.cut_ns = cut_ns;
     t.formed_ns = formed_ns;
     t.sched_ns = sched_ns;
-    // Tightest deadline headroom at decision time, for the decision log.
-    for (const Request& r : t.requests) {
-      if (r.deadline == Request::Clock::time_point::max()) continue;
-      const double h = DurationToSeconds(r.deadline - t.start);
-      if (!(h >= headroom)) headroom = h;  // NaN-safe min
-    }
     tickets_.emplace(id, std::move(t));
   }
-  {
-    // Everything the joint rule weighed: every (lattice rate, precision)
-    // operating point with its predicted cost, the chosen point, and how
-    // much deadline slack existed when the choice was made.
-    DecisionRecord rec;
-    rec.batch = id;
-    rec.ts_ns = sched_ns;
-    rec.n = n;
-    rec.chosen_rate = decision.rate;
-    rec.chosen_precision = decision.precision;
-    rec.predicted_seconds = predicted_seconds;
-    rec.deadline_headroom_seconds = headroom;
-    const std::vector<double>& rates = opts_.serving.lattice.rates();
-    rec.candidates.reserve(rates.size() * (t8 > 0.0 ? 2 : 1));
-    for (double r : rates) {
-      rec.candidates.push_back(
-          {r, Precision::kFp32, static_cast<double>(n) * r * r * full_t});
-      if (t8 > 0.0) {
-        rec.candidates.push_back(
-            {r, Precision::kInt8, static_cast<double>(n) * r * r * t8});
-      }
-    }
-    decision_log_.Begin(std::move(rec));
-  }
+  // The decision's record: batch, n, chosen point and Eq. 3 prediction.
   obs::FlightRecorder::Global().Record(
       obs::FlightEventKind::kDecision,
       decision.precision == Precision::kInt8 ? "batch scheduled int8"
                                              : "batch scheduled",
-      id, n, decision.rate, predicted_seconds);
+      id, n, decision.rate, decision.processing_time);
   pool_->Submit([this, id] { RunAttempt(id, 0); });
 }
 
@@ -1016,17 +986,17 @@ void SliceServer::BatcherLoop() {
   if (rest.expired > 0) {
     expired_.fetch_add(rest.expired, std::memory_order_relaxed);
     registry.GetCounter("ms_server_expired_total")->Inc(rest.expired);
-    RecordFinished(rest.expired_requests, "expired", /*batch=*/-1,
-                   /*attempt=*/0, /*rate=*/0.0, /*cut_ns=*/0, /*formed_ns=*/0,
-                   /*sched_ns=*/0, /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
+    RecordFinished(rest.expired_requests, RequestOutcome::kExpired,
+                   /*rate=*/0.0, /*cut_ns=*/0, /*formed_ns=*/0, /*sched_ns=*/0,
+                   /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
   }
   const int64_t shed_on_stop = static_cast<int64_t>(rest.requests.size());
   if (shed_on_stop > 0) {
     shed_.fetch_add(shed_on_stop, std::memory_order_relaxed);
     registry.GetCounter("ms_server_shed_total")->Inc(shed_on_stop);
-    RecordFinished(rest.requests, "shed", /*batch=*/-1, /*attempt=*/0,
-                   /*rate=*/0.0, /*cut_ns=*/0, /*formed_ns=*/0,
-                   /*sched_ns=*/0, /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
+    RecordFinished(rest.requests, RequestOutcome::kShedStop, /*rate=*/0.0,
+                   /*cut_ns=*/0, /*formed_ns=*/0, /*sched_ns=*/0,
+                   /*fwd_start_ns=*/0, /*fwd_done_ns=*/0);
   }
   for (;;) {
     {
@@ -1050,6 +1020,11 @@ void SliceServer::Stop() {
   // Destroying the pool joins the workers after any queued tasks ran; the
   // batcher already waited for in-flight batches, so this is immediate.
   pool_.reset();
+}
+
+double SliceServer::cost_model_drift() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return drift_ewma_;
 }
 
 ServerStats SliceServer::stats() const {

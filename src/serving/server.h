@@ -62,6 +62,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,7 +71,6 @@
 
 #include "src/nn/module.h"
 #include "src/obs/metrics.h"
-#include "src/serving/decision_log.h"
 #include "src/tensor/activation_arena.h"
 #include "src/serving/health.h"
 #include "src/serving/latency_scheduler.h"
@@ -90,12 +90,6 @@ struct ServerOptions {
   bool calibrate = true;
   int calibration_batch = 8;      ///< samples per calibration forward.
   int calibration_repeats = 3;    ///< timed repeats; the minimum is taken.
-  /// Run one forward per (replica, trained rate) at Start() so every weight
-  /// pack exists before traffic arrives; steady-state serving then never
-  /// packs. With int8 enabled this also covers the quantized packs, so
-  /// steady-state serving never re-quantizes either. Disable only to
-  /// measure the cold path on purpose.
-  bool prewarm = true;
   /// Turn on the second elastic axis: batches may run int8 at the current
   /// rate before the scheduler sheds a rate step. With `calibrate` true the
   /// int8 per-sample time is measured at Start(); with `calibrate` false,
@@ -104,8 +98,6 @@ struct ServerOptions {
   bool enable_int8 = false;
   /// Watchdog / quarantine / circuit-breaker knobs (src/serving/health.h).
   HealthOptions health;
-  /// Ring size of the always-on scheduler decision log (DESIGN.md §8).
-  int64_t decision_log_capacity = 4096;
 };
 
 /// Post-Stop invariant:
@@ -151,7 +143,9 @@ class SliceServer {
   SliceServer(const SliceServer&) = delete;
   SliceServer& operator=(const SliceServer&) = delete;
 
-  /// Calibrates `t` (unless disabled) and starts the batcher thread.
+  /// Calibrates `t` (unless disabled), runs one forward per (replica,
+  /// trained rate) so every weight pack exists before traffic arrives,
+  /// plans the activation arenas, and starts the batcher thread.
   Status Start();
 
   /// Admission control; safe from any thread. `deadline_seconds` is
@@ -186,8 +180,10 @@ class SliceServer {
   /// Serving config as used (full_sample_time reflects calibration).
   const ServingConfig& serving_config() const { return opts_.serving; }
   int num_workers() const { return static_cast<int>(replicas_.size()); }
-  /// Per-batch scheduler decisions + cost-model drift EWMA (always on).
-  const DecisionLog& decision_log() const { return decision_log_; }
+  /// EWMA (alpha 0.1) of |predicted - achieved| / achieved over served
+  /// batches — how far Eq. 3 has drifted from the wall clock; NaN before
+  /// the first served batch. Also published as ms_sched_cost_model_drift.
+  double cost_model_drift() const;
   /// Replicas currently serving-eligible (total minus quarantined).
   int healthy_workers() const;
   /// True while the failure circuit breaker is rejecting admissions.
@@ -207,7 +203,7 @@ class SliceServer {
   }
   /// Planned (packed) activation bytes per trained rate, from the lifetime
   /// plans Start() runs after prewarm — the measured ~r^2-curve component.
-  /// Empty when prewarm was disabled.
+  /// Empty before Start().
   const std::map<double, int64_t>& planned_activation_bytes() const {
     return planned_activation_bytes_;
   }
@@ -224,13 +220,14 @@ class SliceServer {
     std::vector<Request> requests;
     double rate = 1.0;
     Precision precision = Precision::kFp32;
+    double predicted_seconds = 0.0;   ///< Eq. 3 cost of the batch.
     int attempt = 0;                  ///< 0 original, 1 the single retry.
     SteadyClock::time_point start;    ///< current attempt's dispatch time.
     double watchdog_seconds = 0.0;    ///< stall threshold for this attempt.
     // Lifecycle stamps shared by every request in the batch (trace clock,
     // 0 when stage stats are off). fwd_start_ns is re-stamped by each
     // attempt, so a settled request's stamps are the serving attempt's.
-    int64_t cut_ns = 0;               ///< batch cut began.
+    int64_t cut_ns = 0;               ///< queue emptied into the cut.
     int64_t formed_ns = 0;            ///< cut done, batch formed.
     int64_t sched_ns = 0;             ///< rate decision made.
     int64_t fwd_start_ns = 0;         ///< worker began the forward.
@@ -263,15 +260,14 @@ class SliceServer {
   double WatchdogThreshold(int64_t n, double rate, Precision precision) const;
   void FinishTicket();  ///< in-flight bookkeeping after a ticket settles.
 
-  /// Folds one batch's stamps into the per-stage histograms and, when the
-  /// global RequestTraceLog is enabled, appends one RequestTimeline per
-  /// request. `outcome` is a static string ("served"/"expired"/...);
-  /// non-terminal stamps may be 0 for non-served outcomes.
+  /// Fires the requests' completion hooks, folds served stamps into the
+  /// per-stage histograms and, while the global TraceCollector is enabled,
+  /// records each stamped request as a span with its stage spans on a
+  /// synthetic lane. Non-terminal stamps may be 0 for non-served outcomes.
   void RecordFinished(const std::vector<Request>& requests,
-                      const char* outcome, int64_t batch, int attempt,
-                      double rate, int64_t cut_ns, int64_t formed_ns,
-                      int64_t sched_ns, int64_t fwd_start_ns,
-                      int64_t fwd_done_ns);
+                      RequestOutcome outcome, double rate, int64_t cut_ns,
+                      int64_t formed_ns, int64_t sched_ns,
+                      int64_t fwd_start_ns, int64_t fwd_done_ns);
   /// Flight-records circuit-breaker open/close transitions (and trips the
   /// recorder on open). Call after any breaker OnSuccess/OnFailure.
   void NoteBreakerState();
@@ -295,7 +291,6 @@ class SliceServer {
   std::unique_ptr<LatencyScheduler> scheduler_;
   std::unique_ptr<ReplicaHealth> health_;
   std::unique_ptr<CircuitBreaker> breaker_;
-  DecisionLog decision_log_;
 
   double tick_seconds_ = 0.0;     ///< T/2, the batching interval.
   double calibrated_t_ = 0.0;
@@ -343,6 +338,7 @@ class SliceServer {
   mutable std::mutex stats_mu_;
   double min_rate_ = 1.0;
   double max_batch_seconds_ = 0.0;
+  double drift_ewma_ = std::numeric_limits<double>::quiet_NaN();
   std::atomic<float> output_guard_{0.0f};  ///< keeps forwards observable.
 
   /// Last breaker state flight-recorded, for open/close edge detection.

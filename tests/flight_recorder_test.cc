@@ -196,18 +196,25 @@ TEST_F(FlightRecorderTest, DumpToWritesMetaLinePlusValidEventLines) {
   rec.Record(FlightEventKind::kQuarantine, "non-finite output", /*a=*/1,
              /*b=*/0);
   rec.Record(FlightEventKind::kRepair, "", /*a=*/1);
+  // Trip and kMark details are caller strings: quotes, backslashes and
+  // control characters must be escaped, not written raw.
+  rec.Trip("operator said \"stop\" at C:\\serving\n");
   const std::string path =
       std::string(::testing::TempDir()) + "/flight_dump_test.jsonl";
   ASSERT_TRUE(rec.DumpTo(path).ok());
 
   const std::vector<std::string> lines = ReadLines(path);
-  ASSERT_EQ(lines.size(), 3u);  // meta + 2 events
+  ASSERT_EQ(lines.size(), 4u);  // meta + 3 events
   EXPECT_NE(lines[0].find("\"type\":\"meta\""), std::string::npos);
   for (const std::string& line : lines) {
     EXPECT_TRUE(testing::IsValidJson(line)) << line;
   }
   EXPECT_NE(lines[1].find("\"kind\":\"quarantine\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"kind\":\"repair\""), std::string::npos);
+  EXPECT_NE(lines[3].find(
+                "\"detail\":\"operator said \\\"stop\\\" at C:\\\\serving\\n\""),
+            std::string::npos)
+      << lines[3];
 }
 
 TEST_F(FlightRecorderTest, TripWithoutArmedDumpsOnlyCounts) {

@@ -1,18 +1,16 @@
-// Tests for request-lifecycle tracing (DESIGN.md §8): stage stamps are
-// monotone along submit -> admit -> cut -> formed -> sched -> fwd_start ->
-// fwd_done, the six per-stage durations reconcile with the end-to-end
-// latency (within the 5% contract; exact by construction here since
-// submit==admit and the stages tile the interval), served requests land in
-// the ms_server_stage_*_ms histograms, the JSONL export is well-formed, the
-// chrome-trace export nests stage spans inside request spans, and the
-// scheduler decision log predicts/settles with a finite drift EWMA.
-#include <algorithm>
+// Tests for request-lifecycle tracing (DESIGN.md §8), read back from the
+// trace collector the server writes request lanes into: served lanes carry
+// the five stage spans in stage order, each starting where the previous one
+// ended; every stage span nests inside its request span; the stage sums
+// reconcile with the request span (within the 5% contract; exact by
+// construction, since the stages tile [submit, fwd_done]); expired requests
+// get lanes without forward spans; served requests land in the
+// ms_server_stage_*_ms histograms; and with stamping off nothing is
+// recorded at all.
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,15 +18,16 @@
 #include "gtest/gtest.h"
 #include "src/models/mlp.h"
 #include "src/obs/metrics.h"
-#include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
-#include "src/serving/decision_log.h"
 #include "src/serving/server.h"
 #include "src/util/fault.h"
 #include "tests/minijson_test_util.h"
 
 namespace ms {
 namespace {
+
+constexpr const char* kStages[] = {"queue_wait", "batch_form", "schedule",
+                                   "dispatch", "forward"};
 
 std::vector<std::unique_ptr<Module>> MakeReplicas(int n) {
   MlpConfig cfg;
@@ -65,6 +64,49 @@ bool WaitFor(Fn&& done, int timeout_ms) {
   return done();
 }
 
+/// The request lanes in the global collector: request spans (depth 0) and
+/// stage spans (depth 1) on the synthetic tids, grouped by lane.
+struct Lanes {
+  std::vector<obs::TraceEvent> requests;
+  std::map<int, std::vector<obs::TraceEvent>> stages_by_tid;
+};
+
+Lanes ReadLanes() {
+  Lanes lanes;
+  for (const obs::TraceEvent& e : obs::TraceCollector::Global().Snapshot()) {
+    if (e.tid < obs::kRequestLaneTid) continue;  // a real thread's span
+    if (e.depth == 0) {
+      lanes.requests.push_back(e);
+    } else {
+      lanes.stages_by_tid[e.tid].push_back(e);
+    }
+  }
+  return lanes;
+}
+
+bool HasSuffix(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+/// The stage span named `name` on `request`'s lane that starts at `ts_ns`
+/// and ends inside the request span, or nullptr. Requests of one batch can
+/// share a lane; their batch-shared stage spans are then identical, so any
+/// match is the right one.
+const obs::TraceEvent* FindStage(const Lanes& lanes,
+                                 const obs::TraceEvent& request,
+                                 const std::string& name, int64_t ts_ns) {
+  auto it = lanes.stages_by_tid.find(request.tid);
+  if (it == lanes.stages_by_tid.end()) return nullptr;
+  for (const obs::TraceEvent& e : it->second) {
+    if (e.name == name && e.ts_ns == ts_ns &&
+        e.ts_ns + e.dur_ns <= request.ts_ns + request.dur_ns) {
+      return &e;
+    }
+  }
+  return nullptr;
+}
+
 class RequestTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -74,19 +116,19 @@ class RequestTraceTest : public ::testing::Test {
     // Reset BEFORE creating any server: SliceServer caches its stage
     // histogram pointers at construction and Reset() invalidates them.
     obs::MetricsRegistry::Global().Reset();
-    obs::RequestTraceLog::Global().Disable();
-    obs::RequestTraceLog::Global().Clear();
+    obs::TraceCollector::Global().Clear();
+    obs::TraceCollector::Global().Enable();
     obs::EnableStageStats(false);
   }
   void TearDown() override {
     fault::Registry::Global().DisarmAll();
-    obs::RequestTraceLog::Global().Disable();
-    obs::RequestTraceLog::Global().Clear();
+    obs::TraceCollector::Global().Disable();
+    obs::TraceCollector::Global().Clear();
     obs::EnableStageStats(false);
   }
 
   /// Starts a server, serves `n` no-deadline requests to completion, stops
-  /// it and returns it (stats and decision log remain readable).
+  /// it and returns it (stats remain readable).
   std::unique_ptr<SliceServer> ServeRequests(int n) {
     auto server =
         SliceServer::Create(MakeReplicas(2), TraceOptions()).MoveValueOrDie();
@@ -113,42 +155,36 @@ TEST_F(RequestTraceTest, StageNowNanosIsZeroWhenDisabled) {
   EXPECT_EQ(obs::StageNowNanos(), 0);
 }
 
-TEST_F(RequestTraceTest, ServedTimelinesAreMonotoneAndStagesReconcile) {
+TEST_F(RequestTraceTest, ServedLanesAreMonotoneAndStagesReconcile) {
   obs::EnableStageStats(true);
-  auto& log = obs::RequestTraceLog::Global();
-  log.Enable();
   const int kRequests = 32;
   auto server = ServeRequests(kRequests);
   EXPECT_EQ(server->stats().served, kRequests);
 
-  const std::vector<obs::RequestTimeline> timelines = log.Snapshot();
+  const Lanes lanes = ReadLanes();
   int served = 0;
-  for (const obs::RequestTimeline& t : timelines) {
-    if (std::string(t.outcome) != "served") continue;
+  for (const obs::TraceEvent& req : lanes.requests) {
+    ASSERT_EQ(req.name.rfind("req ", 0), 0u) << req.name;
+    if (!HasSuffix(req.name, " served")) continue;
     ++served;
-    // Full stage ladder, stamped and monotone.
-    EXPECT_GT(t.submit_ns, 0) << "id=" << t.id;
-    EXPECT_EQ(t.submit_ns, t.admit_ns);  // one clock read at Submit()
-    EXPECT_GE(t.cut_ns, t.admit_ns);
-    EXPECT_GE(t.formed_ns, t.cut_ns);
-    EXPECT_GE(t.sched_ns, t.formed_ns);
-    EXPECT_GE(t.fwd_start_ns, t.sched_ns);
-    EXPECT_GE(t.fwd_done_ns, t.fwd_start_ns);
-    EXPECT_GE(t.done_ns, t.fwd_done_ns);
-    EXPECT_GE(t.batch, 0);
-    EXPECT_GT(t.rate, 0.0);
-    EXPECT_LE(t.rate, 1.0);
-    // The six stages tile [submit, fwd_done]: their sum reconciles with the
-    // end-to-end latency within the 5% contract.
-    const double total = static_cast<double>(t.fwd_done_ns - t.submit_ns);
-    const double sum = static_cast<double>((t.cut_ns - t.admit_ns) +
-                                           (t.formed_ns - t.cut_ns) +
-                                           (t.sched_ns - t.formed_ns) +
-                                           (t.fwd_start_ns - t.sched_ns) +
-                                           (t.fwd_done_ns - t.fwd_start_ns));
-    ASSERT_GT(total, 0.0);
-    EXPECT_LE(std::abs(sum - total) / total, 0.05)
-        << "id=" << t.id << " sum=" << sum << " total=" << total;
+    EXPECT_GT(req.ts_ns, 0) << req.name;
+    ASSERT_GT(req.dur_ns, 0) << req.name;
+    // Full stage ladder in order, each stage starting where the previous
+    // one ended: the lane is monotone and the stages tile the span.
+    int64_t cursor = req.ts_ns;
+    int64_t sum = 0;
+    for (const char* stage : kStages) {
+      const obs::TraceEvent* e = FindStage(lanes, req, stage, cursor);
+      ASSERT_NE(e, nullptr) << req.name << " has no '" << stage
+                            << "' span starting at " << cursor;
+      EXPECT_GE(e->dur_ns, 0);
+      cursor = e->ts_ns + e->dur_ns;
+      sum += e->dur_ns;
+    }
+    EXPECT_EQ(cursor, req.ts_ns + req.dur_ns) << req.name;
+    const double total = static_cast<double>(req.dur_ns);
+    EXPECT_LE(std::abs(static_cast<double>(sum) - total) / total, 0.05)
+        << req.name << " sum=" << sum << " total=" << total;
   }
   EXPECT_EQ(served, kRequests);
 
@@ -163,40 +199,41 @@ TEST_F(RequestTraceTest, ServedTimelinesAreMonotoneAndStagesReconcile) {
   }
 }
 
-TEST_F(RequestTraceTest, JsonlExportIsWellFormedAndMarksOutcomes) {
+TEST_F(RequestTraceTest, StageSpansNestInsideTheirRequestSpans) {
   obs::EnableStageStats(true);
-  auto& log = obs::RequestTraceLog::Global();
-  log.Enable();
-  auto server = ServeRequests(16);
-  // Also exercise the expired path: an already-passed deadline is caught at
-  // the next batch cut, before any forward.
-  EXPECT_EQ(server->stats().expired, 0);
+  const int kRequests = 12;
+  auto server = ServeRequests(kRequests);
 
-  const std::string path =
-      std::string(::testing::TempDir()) + "/request_trace_test.jsonl";
-  ASSERT_TRUE(log.WriteJsonl(path).ok());
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  int lines = 0;
-  int with_stages = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++lines;
-    EXPECT_TRUE(testing::IsValidJson(line)) << line;
-    EXPECT_NE(line.find("\"outcome\""), std::string::npos);
-    if (line.find("\"stages_ms\"") != std::string::npos) ++with_stages;
+  const Lanes lanes = ReadLanes();
+  ASSERT_EQ(lanes.requests.size(), static_cast<size_t>(kRequests));
+  std::map<int, std::vector<obs::TraceEvent>> requests_by_tid;
+  for (const obs::TraceEvent& req : lanes.requests) {
+    requests_by_tid[req.tid].push_back(req);
   }
-  EXPECT_EQ(lines, 16);
-  // Every served line carries the per-stage breakdown.
-  EXPECT_EQ(with_stages, 16);
+  int stages = 0;
+  for (const auto& [tid, spans] : lanes.stages_by_tid) {
+    for (const obs::TraceEvent& e : spans) {
+      ++stages;
+      EXPECT_EQ(e.depth, 1);
+      bool nested = false;
+      for (const obs::TraceEvent& req : requests_by_tid[tid]) {
+        if (e.ts_ns >= req.ts_ns &&
+            e.ts_ns + e.dur_ns <= req.ts_ns + req.dur_ns) {
+          nested = true;
+          break;
+        }
+      }
+      EXPECT_TRUE(nested) << "stage span '" << e.name
+                          << "' escapes its request span";
+    }
+  }
+  EXPECT_EQ(stages, kRequests * 5);
+  EXPECT_TRUE(
+      testing::IsValidJson(obs::TraceCollector::Global().ToChromeJson()));
 }
 
-TEST_F(RequestTraceTest, ExpiredRequestsGetTimelinesWithoutForwardStamps) {
+TEST_F(RequestTraceTest, ExpiredRequestsGetLanesWithoutForwardSpans) {
   obs::EnableStageStats(true);
-  auto& log = obs::RequestTraceLog::Global();
-  log.Enable();
   auto server =
       SliceServer::Create(MakeReplicas(2), TraceOptions()).MoveValueOrDie();
   ASSERT_TRUE(server->Start().ok());
@@ -209,148 +246,38 @@ TEST_F(RequestTraceTest, ExpiredRequestsGetTimelinesWithoutForwardStamps) {
                       /*timeout_ms=*/20000));
   server->Stop();
 
+  const Lanes lanes = ReadLanes();
   int expired = 0;
-  for (const obs::RequestTimeline& t : log.Snapshot()) {
-    if (std::string(t.outcome) != "expired") continue;
+  for (const obs::TraceEvent& req : lanes.requests) {
+    if (!HasSuffix(req.name, " expired")) continue;
     ++expired;
-    EXPECT_GT(t.submit_ns, 0);
-    EXPECT_EQ(t.fwd_start_ns, 0);  // never reached a worker
-    EXPECT_EQ(t.fwd_done_ns, 0);
-    EXPECT_GE(t.done_ns, t.submit_ns);
+    EXPECT_GT(req.ts_ns, 0);
+    EXPECT_GE(req.dur_ns, 0);
   }
   EXPECT_EQ(expired, 4);
+  // Never reached a worker: no lane carries a dispatch or forward span.
+  for (const auto& [tid, spans] : lanes.stages_by_tid) {
+    for (const obs::TraceEvent& e : spans) {
+      EXPECT_NE(e.name, "forward");
+      EXPECT_NE(e.name, "dispatch");
+    }
+  }
   // No expired request may appear in the stage histograms.
   obs::Histogram* total =
       obs::MetricsRegistry::Global().GetHistogram("ms_server_stage_total_ms");
   EXPECT_EQ(total->count(), 0);
 }
 
-TEST_F(RequestTraceTest, ChromeSpanExportNestsStagesInsideRequestSpans) {
-  obs::EnableStageStats(true);
-  auto& log = obs::RequestTraceLog::Global();
-  log.Enable();
-  const int kRequests = 12;
-  auto server = ServeRequests(kRequests);
-
-  obs::TraceCollector collector;
-  log.ExportChromeSpans(&collector, /*lanes=*/8);
-  const std::vector<obs::TraceEvent> events = collector.Snapshot();
-  ASSERT_FALSE(events.empty());
-
-  // Depth-0 events are request spans; depth-1 events are stage spans that
-  // must lie within a request span on the same synthetic lane.
-  std::map<int, std::vector<obs::TraceEvent>> roots_by_tid;
-  int roots = 0;
-  for (const obs::TraceEvent& e : events) {
-    if (e.depth == 0) {
-      EXPECT_EQ(e.name.rfind("req ", 0), 0u) << e.name;
-      roots_by_tid[e.tid].push_back(e);
-      ++roots;
-    }
-  }
-  EXPECT_EQ(roots, kRequests);
-  int children = 0;
-  for (const obs::TraceEvent& e : events) {
-    if (e.depth != 1) continue;
-    ++children;
-    bool nested = false;
-    for (const obs::TraceEvent& root : roots_by_tid[e.tid]) {
-      if (e.ts_ns >= root.ts_ns &&
-          e.ts_ns + e.dur_ns <= root.ts_ns + root.dur_ns) {
-        nested = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(nested) << "stage span '" << e.name
-                        << "' escapes its request span";
-  }
-  EXPECT_GT(children, 0);
-  EXPECT_TRUE(testing::IsValidJson(collector.ToChromeJson()));
-}
-
-TEST_F(RequestTraceTest, DecisionLogPredictsSettlesAndPublishesDrift) {
-  obs::EnableStageStats(true);
-  auto server = ServeRequests(24);
-  const DecisionLog& log = server->decision_log();
-  EXPECT_GE(log.begun(), 1);
-  EXPECT_GE(log.settled(), 1);
-  EXPECT_LE(log.settled(), log.begun());
-
-  const size_t lattice_rates = TraceOptions().serving.lattice.num_rates();
-  int served_records = 0;
-  for (const DecisionRecord& rec : log.Snapshot()) {
-    EXPECT_GE(rec.batch, 0);
-    EXPECT_GT(rec.n, 0);
-    EXPECT_GT(rec.chosen_rate, 0.0);
-    EXPECT_LE(rec.chosen_rate, 1.0);
-    EXPECT_GT(rec.predicted_seconds, 0.0);
-    ASSERT_EQ(rec.candidates.size(), lattice_rates);
-    for (const DecisionCandidate& cand : rec.candidates) {
-      EXPECT_GT(cand.rate, 0.0);
-      EXPECT_GT(cand.predicted_seconds, 0.0);
-    }
-    if (std::string(rec.outcome) == "served") {
-      ++served_records;
-      EXPECT_GT(rec.achieved_seconds, 0.0);
-      EXPECT_TRUE(std::isfinite(rec.drift));
-      EXPECT_GE(rec.drift, 0.0);
-    }
-  }
-  EXPECT_GE(served_records, 1);
-
-  // Drift EWMA is finite and published as a gauge.
-  EXPECT_TRUE(std::isfinite(log.drift_ewma()));
-  EXPECT_GE(log.drift_ewma(), 0.0);
-  // The gauge is published outside the log's lock, so under concurrent
-  // settles it can lag the EWMA by one update — check it is a sane drift
-  // value rather than bit-identical.
-  obs::Gauge* gauge =
-      obs::MetricsRegistry::Global().GetGauge("ms_sched_cost_model_drift");
-  EXPECT_TRUE(std::isfinite(gauge->value()));
-  EXPECT_GE(gauge->value(), 0.0);
-
-  // The JSONL export parses line by line and carries the candidate table.
-  std::istringstream lines(log.ToJsonl());
-  std::string line;
-  int n_lines = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    ++n_lines;
-    EXPECT_TRUE(testing::IsValidJson(line)) << line;
-    EXPECT_NE(line.find("\"candidates\""), std::string::npos);
-  }
-  EXPECT_EQ(n_lines, static_cast<int>(log.size()));
-}
-
-TEST_F(RequestTraceTest, DisabledStampingCostsNothingAndRecordsNothing) {
-  // Fixture default: stage stats off, trace log off.
+TEST_F(RequestTraceTest, DisabledStampingRecordsNothing) {
+  // Fixture default: stage stats off, even though the collector is on.
   auto server = ServeRequests(8);
   EXPECT_EQ(server->stats().served, 8);
-  EXPECT_EQ(obs::RequestTraceLog::Global().size(), 0u);
+  const Lanes lanes = ReadLanes();
+  EXPECT_TRUE(lanes.requests.empty());
+  EXPECT_TRUE(lanes.stages_by_tid.empty());
   obs::Histogram* total =
       obs::MetricsRegistry::Global().GetHistogram("ms_server_stage_total_ms");
   EXPECT_EQ(total->count(), 0);
-  // The decision log still works (it is not gated on stage stats) but its
-  // records carry ts_ns == 0 since the trace clock was never read.
-  EXPECT_GE(server->decision_log().begun(), 1);
-}
-
-TEST_F(RequestTraceTest, TraceLogDropsBeyondCapacityAndCounts) {
-  auto& log = obs::RequestTraceLog::Global();
-  log.Enable(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    obs::RequestTimeline t;
-    t.id = i;
-    t.outcome = "served";
-    log.Append(t);
-  }
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.dropped(), 6);
-  // Keeps the earliest requests, like TraceCollector.
-  const std::vector<obs::RequestTimeline> kept = log.Snapshot();
-  ASSERT_EQ(kept.size(), 4u);
-  EXPECT_EQ(kept.front().id, 0);
-  EXPECT_EQ(kept.back().id, 3);
 }
 
 }  // namespace

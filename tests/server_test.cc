@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "src/models/mlp.h"
 #include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
 #include "src/serving/server.h"
 
 namespace ms {
@@ -238,8 +240,9 @@ TEST(SliceServer, Int8ChosenAtCurrentRateBeforeRateShed) {
   // Joint (rate, precision) ladder: with a fake dual calibration where the
   // burst overruns the fp32 column at r = 1 but fits the int8 column at
   // r = 1, the scheduler must drop precision — NOT rate. Visible in the
-  // decision log (chosen point + both cost columns among the candidates)
-  // and in the flight recorder's decision events.
+  // flight recorder's decision events, and in the serve events that settle
+  // them.
+  obs::FlightRecorder::Global().Clear();
   obs::FlightRecorder::Global().EnableRecording();
   auto opts = MakeOptions(0.02, 1 << 20);  // tick = 10 ms
   opts.calibrate = false;
@@ -263,35 +266,80 @@ TEST(SliceServer, Int8ChosenAtCurrentRateBeforeRateShed) {
   EXPECT_DOUBLE_EQ(s.min_rate, 1.0);
   ExpectConservation(s);
 
-  // Decision log: some batch chose (r = 1, int8), and its candidate list
-  // carries both cost columns for every lattice rate.
+  // Flight recorder: some decision chose (r = 1, int8) — the event names
+  // the int8 path and carries the int8-column prediction n * 1^2 * t8 —
+  // and a serve event settled that same batch at r = 1.
+  const std::vector<obs::FlightEvent> tape =
+      obs::FlightRecorder::Global().Snapshot();
   bool saw_int8_full_rate = false;
-  for (const DecisionRecord& rec : server->decision_log().Snapshot()) {
-    if (rec.chosen_precision != Precision::kInt8) continue;
-    EXPECT_DOUBLE_EQ(rec.chosen_rate, 1.0);
-    saw_int8_full_rate = true;
-    bool fp32_candidate = false, int8_candidate = false;
-    for (const DecisionCandidate& c : rec.candidates) {
-      if (c.precision == Precision::kFp32) fp32_candidate = true;
-      if (c.precision == Precision::kInt8) int8_candidate = true;
+  for (const obs::FlightEvent& ev : tape) {
+    if (ev.kind != obs::FlightEventKind::kDecision ||
+        std::string(ev.detail) != "batch scheduled int8") {
+      continue;
     }
-    EXPECT_TRUE(fp32_candidate);
-    EXPECT_TRUE(int8_candidate);
+    EXPECT_DOUBLE_EQ(ev.x, 1.0);
+    EXPECT_DOUBLE_EQ(ev.y, static_cast<double>(ev.b) * 2.5e-4);
+    bool served = false;
+    for (const obs::FlightEvent& serve : tape) {
+      if (serve.kind == obs::FlightEventKind::kServe && serve.a == ev.a) {
+        EXPECT_EQ(serve.b, ev.b);
+        EXPECT_DOUBLE_EQ(serve.x, 1.0);
+        EXPECT_GT(serve.y, 0.0);
+        served = true;
+      }
+    }
+    EXPECT_TRUE(served) << "int8 batch " << ev.a << " never served";
+    saw_int8_full_rate = true;
   }
   EXPECT_TRUE(saw_int8_full_rate);
-  const std::string jsonl = server->decision_log().ToJsonl();
-  EXPECT_NE(jsonl.find("\"precision\":\"int8\""), std::string::npos);
+  obs::FlightRecorder::Global().Disable();
+}
 
-  // Flight recorder: the scheduling event itself names the int8 path.
-  bool flight_saw_int8 = false;
-  for (const auto& ev : obs::FlightRecorder::Global().Snapshot()) {
-    if (ev.kind == obs::FlightEventKind::kDecision &&
-        std::string(ev.detail) == "batch scheduled int8") {
-      flight_saw_int8 = true;
+TEST(SliceServer, FlightTapeReproducesCostModelDrift) {
+  // The flight recorder is the scheduler's record: folding each kDecision's
+  // predicted seconds against its batch's kServe achieved seconds, with the
+  // server's EWMA (alpha 0.1, seeded by the first served batch), gives
+  // exactly cost_model_drift(). One replica settles batches one at a time,
+  // so the tape's serve order is the order the EWMA saw.
+  auto& flight = obs::FlightRecorder::Global();
+  flight.Clear();
+  flight.EnableRecording();
+  auto server = SliceServer::Create(MakeReplicas(1), MakeOptions(0.02, 256))
+                    .MoveValueOrDie();
+  EXPECT_TRUE(std::isnan(server->cost_model_drift()));
+  ASSERT_TRUE(server->Start().ok());
+  const int n = 40;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(server->Submit(), AdmitResult::kAccepted);
+    if (i % 8 == 7) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(
+      WaitFor([&] { return server->stats().served >= n; }, /*timeout_ms=*/10000));
+  server->Stop();
+  flight.Disable();
+
+  std::map<int64_t, double> predicted;  // batch id -> kDecision.y
+  double ewma = std::numeric_limits<double>::quiet_NaN();
+  int serves = 0;
+  for (const obs::FlightEvent& ev : flight.Snapshot()) {
+    if (ev.kind == obs::FlightEventKind::kDecision) {
+      predicted[ev.a] = ev.y;
+    } else if (ev.kind == obs::FlightEventKind::kServe) {
+      ASSERT_EQ(predicted.count(ev.a), 1u) << "serve before decision";
+      ++serves;
+      if (!(ev.y > 0.0)) continue;
+      const double drift = std::abs(predicted[ev.a] - ev.y) / ev.y;
+      ewma = std::isnan(ewma) ? drift : 0.9 * ewma + 0.1 * drift;
     }
   }
-  EXPECT_TRUE(flight_saw_int8);
-  obs::FlightRecorder::Global().Disable();
+  EXPECT_EQ(serves, server->stats().batches);
+  ASSERT_TRUE(std::isfinite(ewma));
+  EXPECT_NEAR(server->cost_model_drift(), ewma, 1e-12);
+  EXPECT_DOUBLE_EQ(obs::MetricsRegistry::Global()
+                       .GetGauge("ms_sched_cost_model_drift")
+                       ->value(),
+                   server->cost_model_drift());
+  ExpectConservation(server->stats());
 }
 
 TEST(SliceServer, ClosedLoopTraceAccountsForEveryTick) {
