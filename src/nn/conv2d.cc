@@ -40,6 +40,8 @@ Conv2d::Conv2d(Conv2dOptions opts, Rng* rng, std::string name)
   }
   matmul_ = SlicedMatmul(SlicedMatmul::Role::kLeft, &w_, 0,
                          opts_.out_channels, fan_in, std::move(in_k_ends));
+  // Full width up front: resizing within it never allocates.
+  tap_offsets_.reserve(static_cast<size_t>(fan_in));
 }
 
 void Conv2d::DoSetSliceRate(double r) {
@@ -55,10 +57,13 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   MS_CHECK_MSG(x.dim(1) == active_in_, "Conv2d input channels != active_in");
   const int64_t h = x.dim(2);
   const int64_t w = x.dim(3);
-  const int64_t k = opts_.kernel;
-  const int64_t oh = (h + 2 * opts_.pad - k) / opts_.stride + 1;
-  const int64_t ow = (w + 2 * opts_.pad - k) / opts_.stride + 1;
-  MS_CHECK(oh >= 1 && ow >= 1);
+  const int64_t m = active_in_;
+  const int64_t n = active_out_;
+  const ops::ConvPlanes planes(m, h, w, opts_.kernel, opts_.stride,
+                               opts_.pad);
+  const int64_t oh = planes.out_h;
+  const int64_t ow = planes.out_w;
+  const int64_t out_area = oh * ow;
 
   // Copy-assign reuses capacity when shapes repeat, so steady-state
   // forwards stay allocation-free.
@@ -68,10 +73,8 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   last_oh_ = oh;
   last_ow_ = ow;
 
-  const int64_t m = active_in_;
-  const int64_t n = active_out_;
-  const int64_t col_rows = m * k * k;
-  const int64_t out_area = oh * ow;
+  tap_offsets_.resize(static_cast<size_t>(planes.taps()));
+  planes.TapOffsets(tap_offsets_.data());
 
   // Bias (per output channel == C row) always rides the GEMM's
   // C-writeback; a planted activation only at inference.
@@ -84,20 +87,27 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   float* yd = y.data();
   // Pack W once, outside the parallel region (workers then only read).
   matmul_.Prepare(precision_, training);
-  // Parallel over images: each worker owns an im2col buffer from its own
-  // arena; output planes are disjoint. With batch == 1 the single shard
-  // runs on the caller, where the GEMM itself may go parallel.
+  // Parallel over images: each worker copies its images, one at a time,
+  // into padded planes from its own arena, and the GEMM reads the im2col
+  // matrix from there in place; output planes are disjoint. With batch
+  // == 1 the single shard runs on the caller, where the GEMM itself may
+  // go parallel.
   ops::ParallelForCompute(batch, [&](int64_t b0, int64_t b1) {
     ScratchArena& arena = ScratchArena::ForThread();
     ScratchArena::Scope scope(arena);
-    float* cols = arena.Alloc(col_rows * out_area);
+    // Zeroed once: every image writes the same interior positions, so the
+    // padding stays zero.
+    float* buf =
+        planes.in_place() ? nullptr : arena.AllocZeroed(planes.floats());
     for (int64_t img = b0; img < b1; ++img) {
-      ops::Im2Col(xd + img * m * h * w, m, h, w, k, opts_.stride, opts_.pad,
-                  cols);
+      const float* xi = xd + img * m * h * w;
+      if (buf != nullptr) planes.Fill(xi, buf);
       // y_img(n, out_area) = W[0:n, 0:m*k*k] * cols. The prefix of the
       // full-stride pack keeps the inactive input-channel columns out.
-      matmul_.Apply(out_area, n, col_rows, 1.0f, cols, 0.0f,
-                    yd + img * n * out_area, epi);
+      const ops::ColsView cols =
+          planes.View(buf != nullptr ? buf : xi, tap_offsets_.data());
+      matmul_.Apply(cols, n, planes.taps(), 0.0f, yd + img * n * out_area,
+                    epi);
     }
   });
   return y;

@@ -3,10 +3,12 @@
 #define MODELSLICING_NN_CONV2D_H_
 
 #include <string>
+#include <vector>
 
 #include "src/nn/module.h"
 #include "src/nn/slice_spec.h"
 #include "src/nn/sliced_matmul.h"
+#include "src/tensor/cols_view.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
@@ -30,7 +32,9 @@ struct Conv2dOptions {
 /// Weight layout is (N, M, k, k) flattened row-major, so the first
 /// m_active*k*k entries of each filter row correspond exactly to the first
 /// m_active input channels — slicing both dimensions reduces to prefix GEMMs
-/// over im2col buffers.
+/// against the im2col matrix of the active channels. The forward reads
+/// that matrix in place from padded input planes (tensor/cols_view.h);
+/// the backward materialises it with Im2Col.
 class Conv2d : public Module {
  public:
   Conv2d(Conv2dOptions opts, Rng* rng, std::string name = "conv");
@@ -81,6 +85,9 @@ class Conv2d : public Module {
   /// prefix. K segments (int8 scale groups) are the input groups scaled
   /// by k*k.
   SlicedMatmul matmul_;
+  /// Im2col row starts in the padded planes, one per active tap; rebuilt
+  /// each forward.
+  std::vector<int64_t> tap_offsets_;
 
   Tensor cached_x_;       ///< compact input (B, m, H, W)
   ops::EpiAct fused_act_ = ops::EpiAct::kNone;

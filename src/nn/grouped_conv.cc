@@ -77,9 +77,9 @@ Tensor GroupedConv2d::DoForward(const Tensor& x, bool training) {
         const float* xg = xd + (img * active_in() + g * in_per_group_) * h * w;
         ops::Im2Col(xg, in_per_group_, h, w, k, opts_.stride, opts_.pad, cols);
         float* yg = yd + (img * active_out() + g * out_per_group_) * out_area;
-        matmuls_[static_cast<size_t>(g)].Apply(out_area, out_per_group_,
-                                               col_rows, 1.0f, cols, 0.0f, yg,
-                                               epi);
+        matmuls_[static_cast<size_t>(g)].Apply(
+            ops::ColsView::Matrix(cols, out_area, out_area), out_per_group_,
+            col_rows, 0.0f, yg, epi);
       }
     }
   });

@@ -43,21 +43,25 @@ void SlicedMatmul::Prepare(Precision precision, bool training) {
 void SlicedMatmul::Apply(int64_t m, int64_t n, int64_t k, float alpha,
                          const float* x, float beta, float* y,
                          const ops::Epilogue& epi) const {
-  if (role_ == Role::kRight) {
-    if (int8_) {
-      ops::GemmQuantizedB(false, m, n, k, alpha, x, k, int8_pack_, beta, y,
-                          n, epi);
-    } else {
-      ops::GemmPrepackedB(false, m, n, k, alpha, x, k, fwd_pack_, beta, y,
-                          n, epi);
-    }
-    return;
-  }
-  MS_CHECK(alpha == 1.0f);
+  MS_CHECK(role_ == Role::kRight);
   if (int8_) {
-    ops::GemmQuantizedWeightA(n, m, k, int8_pack_, x, m, beta, y, m, epi);
+    ops::GemmQuantizedB(false, m, n, k, alpha, x, k, int8_pack_, beta, y, n,
+                        epi);
   } else {
-    ops::GemmPrepackedA(n, m, k, fwd_pack_, false, x, m, beta, y, m, epi);
+    ops::GemmPrepackedB(false, m, n, k, alpha, x, k, fwd_pack_, beta, y, n,
+                        epi);
+  }
+}
+
+void SlicedMatmul::Apply(const ops::ColsView& x, int64_t n, int64_t k,
+                         float beta, float* y,
+                         const ops::Epilogue& epi) const {
+  MS_CHECK(role_ == Role::kLeft);
+  const int64_t ldy = x.cols();
+  if (int8_) {
+    ops::GemmQuantizedWeightA(n, k, int8_pack_, x, beta, y, ldy, epi);
+  } else {
+    ops::GemmPrepackedA(n, k, fwd_pack_, x, beta, y, ldy, epi);
   }
 }
 

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/tensor/cols_view.h"
 #include "src/tensor/epilogue.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
@@ -50,12 +51,17 @@ class SlicedMatmul {
   /// `training` also readies the backward pack for ApplyTransposed.
   void Prepare(Precision precision, bool training);
 
-  /// kRight: y[m x n] = alpha * x[m x k] . W[:n, :k]^T + beta * y
-  /// kLeft:  y[n x m] = W[:n, :k] . x[k x m] + beta * y   (alpha == 1)
+  /// kRight: y[m x n] = alpha * x[m x k] . W[:n, :k]^T + beta * y.
   /// Operands are compact (leading dimension = their column count); `epi`
   /// is applied at C-writeback.
   void Apply(int64_t m, int64_t n, int64_t k, float alpha, const float* x,
              float beta, float* y, const ops::Epilogue& epi = {}) const;
+
+  /// kLeft: y[n x x.cols()] = W[:n, :k] . x + beta * y, with the im2col
+  /// matrix x (k x x.cols()) read in place through its view (cols_view.h);
+  /// y is compact. `epi` is applied at C-writeback.
+  void Apply(const ops::ColsView& x, int64_t n, int64_t k, float beta,
+             float* y, const ops::Epilogue& epi = {}) const;
 
   /// The input gradient of Apply, always fp32:
   /// kRight: dx[m x k] = alpha * g[m x n] . W[:n, :k] + beta * dx

@@ -31,7 +31,9 @@ namespace ops {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Process-wide compute pool (MS_NUM_THREADS override; 1 disables it).
+// Process-wide compute pool (MS_NUM_THREADS override; 1 disables it). It
+// holds ComputeThreads() - 1 workers: the thread that calls ParallelFor
+// runs one shard itself, so at most ComputeThreads() threads run shards.
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool_storage;           // guarded by g_pool_mu
@@ -53,7 +55,7 @@ void InitPoolOnce() {
   if (g_threads.load(std::memory_order_relaxed) != 0) return;
   const int t = EnvThreads();
   if (t > 1) {
-    g_pool_storage = std::make_unique<ThreadPool>(t);
+    g_pool_storage = std::make_unique<ThreadPool>(t - 1);
     g_pool.store(g_pool_storage.get(), std::memory_order_release);
   }
   g_threads.store(t, std::memory_order_release);
@@ -341,7 +343,7 @@ void SetComputeThreads(int n) {
   g_pool.store(nullptr, std::memory_order_release);
   g_pool_storage.reset();  // joins the old workers
   if (n > 1) {
-    g_pool_storage = std::make_unique<ThreadPool>(n);
+    g_pool_storage = std::make_unique<ThreadPool>(n - 1);
     g_pool.store(g_pool_storage.get(), std::memory_order_release);
   }
   g_threads.store(n, std::memory_order_release);

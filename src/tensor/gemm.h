@@ -32,7 +32,8 @@ namespace ops {
 /// element at C-writeback, bitwise identical to the same per-element
 /// post-pass at any thread count (epilogue.h).
 /// Large problems run on the process-wide compute pool; calls made from
-/// inside any ThreadPool worker run single-threaded (no nested pools).
+/// inside any ThreadPool worker or ParallelFor shard run single-threaded
+/// (no nested pools).
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, int64_t lda, const float* b,
           int64_t ldb, float beta, float* c, int64_t ldc,
@@ -47,8 +48,9 @@ void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              int64_t ldb, float beta, float* c, int64_t ldc,
              const Epilogue& epi = {});
 
-/// Threads the compute pool uses. Defaults to MS_NUM_THREADS when set,
-/// else std::thread::hardware_concurrency(). 1 disables the pool.
+/// Threads that run compute shards: the caller plus the pool's workers.
+/// Defaults to MS_NUM_THREADS when set, else
+/// std::thread::hardware_concurrency(). 1 disables the pool.
 int ComputeThreads();
 
 /// Resizes the process-wide compute pool. Not thread-safe with respect to
@@ -59,10 +61,12 @@ void SetComputeThreads(int n);
 /// the CPU supports it at runtime.
 bool GemmHasAvx2();
 
-/// Static partition of [0, n) over the compute pool; fn(begin, end) runs
-/// on disjoint ranges. Serializes inline when the pool is disabled or the
-/// caller is already a pool worker. Layers use this for batch-level
-/// parallelism (conv im2col+GEMM shards).
+/// Static partition of [0, n) into min(n, ComputeThreads()) shards;
+/// fn(begin, end) runs on disjoint ranges, shard 0 on the calling thread
+/// and the rest on the pool's ComputeThreads() - 1 workers. Serializes
+/// inline when the pool is disabled or the caller is already a pool worker
+/// or inside a shard. Layers use this for batch-level parallelism (one
+/// conv GEMM per image).
 void ParallelForCompute(int64_t n,
                         const std::function<void(int64_t, int64_t)>& fn);
 

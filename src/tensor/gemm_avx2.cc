@@ -402,33 +402,33 @@ void EncodeU7Avx2(const float* v, int64_t n, float lo, float inv,
   }
 }
 
-// 8 columns -> 8 contiguous rows via in-register 8x8 transposes; the
-// k % 8 tail rows go element-wise. When kMinMax is set, a per-column
-// min/max scan rides the same loads (lane j of the running accumulators
-// tracks column j), letting the quantizer skip its separate sweep over
-// the scratch rows; lo8/hi8 then receive 8 results each and k must be
-// >= 1. Seeded from row 0 and folded with vminps/vmaxps — value-equal to
-// the scalar seed-then-compare loop up to the +-0 tie caveat on
-// MinMaxF32Fn.
-template <bool kMinMax>
-void Transpose8ColImpl(const float* src, int64_t ld, int64_t k, float* dst,
+// 8 columns -> 8 contiguous rows via in-register 8x8 transposes, where
+// load(p) yields the 8 column values of source row p; the k % 8 tail rows
+// go element-wise. When kMinMax is set, a per-column min/max scan rides
+// the same loads (lane j of the running accumulators tracks column j),
+// letting the quantizer skip its separate sweep over the scratch rows;
+// lo8/hi8 then receive 8 results each and k must be >= 1. Seeded from
+// row 0 and folded with vminps/vmaxps — value-equal to the scalar
+// seed-then-compare loop up to the +-0 tie caveat on MinMaxF32Fn.
+template <bool kMinMax, class Load>
+void Transpose8ColImpl(const Load& load, int64_t k, float* dst,
                        int64_t dst_stride, float* lo8, float* hi8) {
   __m256 vlo = _mm256_setzero_ps();
   __m256 vhi = _mm256_setzero_ps();
   if (kMinMax) {
-    vlo = _mm256_loadu_ps(src);
+    vlo = load(0);
     vhi = vlo;
   }
   int64_t p = 0;
   for (; p + 8 <= k; p += 8) {
-    __m256 r0 = _mm256_loadu_ps(src + (p + 0) * ld);
-    __m256 r1 = _mm256_loadu_ps(src + (p + 1) * ld);
-    __m256 r2 = _mm256_loadu_ps(src + (p + 2) * ld);
-    __m256 r3 = _mm256_loadu_ps(src + (p + 3) * ld);
-    __m256 r4 = _mm256_loadu_ps(src + (p + 4) * ld);
-    __m256 r5 = _mm256_loadu_ps(src + (p + 5) * ld);
-    __m256 r6 = _mm256_loadu_ps(src + (p + 6) * ld);
-    __m256 r7 = _mm256_loadu_ps(src + (p + 7) * ld);
+    __m256 r0 = load(p + 0);
+    __m256 r1 = load(p + 1);
+    __m256 r2 = load(p + 2);
+    __m256 r3 = load(p + 3);
+    __m256 r4 = load(p + 4);
+    __m256 r5 = load(p + 5);
+    __m256 r6 = load(p + 6);
+    __m256 r7 = load(p + 7);
     if (kMinMax) {
       vlo = _mm256_min_ps(vlo, r0);
       vhi = _mm256_max_ps(vhi, r0);
@@ -481,12 +481,14 @@ void Transpose8ColImpl(const float* src, int64_t ld, int64_t k, float* dst,
                      _mm256_permute2f128_ps(s3, s7, 0x31));
   }
   for (; p < k; ++p) {
+    const __m256 v = load(p);
     if (kMinMax) {
-      const __m256 v = _mm256_loadu_ps(src + p * ld);
       vlo = _mm256_min_ps(vlo, v);
       vhi = _mm256_max_ps(vhi, v);
     }
-    for (int j = 0; j < 8; ++j) dst[j * dst_stride + p] = src[p * ld + j];
+    alignas(32) float lane[8];
+    _mm256_store_ps(lane, v);
+    for (int j = 0; j < 8; ++j) dst[j * dst_stride + p] = lane[j];
   }
   if (kMinMax) {
     _mm256_storeu_ps(lo8, vlo);
@@ -496,13 +498,25 @@ void Transpose8ColImpl(const float* src, int64_t ld, int64_t k, float* dst,
 
 void Transpose8ColAvx2(const float* src, int64_t ld, int64_t k, float* dst,
                        int64_t dst_stride) {
-  Transpose8ColImpl<false>(src, ld, k, dst, dst_stride, nullptr, nullptr);
+  Transpose8ColImpl<false>(
+      [&](int64_t p) { return _mm256_loadu_ps(src + p * ld); }, k, dst,
+      dst_stride, nullptr, nullptr);
 }
 
-void Transpose8ColMinMaxAvx2(const float* src, int64_t ld, int64_t k,
-                             float* dst, int64_t dst_stride, float* lo8,
-                             float* hi8) {
-  Transpose8ColImpl<true>(src, ld, k, dst, dst_stride, lo8, hi8);
+void Transpose8ColMinMaxAvx2(const ColsView& b, int64_t q,
+                             const int32_t* lanes, int64_t k, float* dst,
+                             int64_t dst_stride, float* lo8, float* hi8) {
+  if (lanes == nullptr) {
+    Transpose8ColImpl<true>(
+        [&](int64_t p) { return _mm256_loadu_ps(b.row(p) + q); }, k, dst,
+        dst_stride, lo8, hi8);
+    return;
+  }
+  const __m256i idx =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
+  Transpose8ColImpl<true>(
+      [&](int64_t p) { return _mm256_i32gather_ps(b.row(p) + q, idx, 4); }, k,
+      dst, dst_stride, lo8, hi8);
 }
 
 /// Norm-statistics reduction: sum and sum-of-squares accumulated as 4

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "src/tensor/cols_view.h"
 #include "src/tensor/epilogue.h"
 
 namespace ms {
@@ -109,16 +110,20 @@ using EncodeU7Fn = void (*)(const float* v, int64_t n, float lo, float inv,
 
 /// Gathers 8 columns of src (k rows, leading dimension ld) into 8
 /// contiguous rows: dst[j*dst_stride + p] = src[p*ld + j] for j < 8,
-/// p < k. Lets the column-quantizing (conv) path run the contiguous
-/// min/max + encode helpers instead of a strided scalar loop.
+/// p < k. The conv quantizer's transposed merge writes C through it.
 using Transpose8ColFn = void (*)(const float* src, int64_t ld, int64_t k,
                                  float* dst, int64_t dst_stride);
 
-/// Transpose8ColFn with the per-column min/max scan fused into the gather
-/// pass: lo8[j]/hi8[j] receive column j's min/max (value-equal to the
+/// The column gather of the conv quantizer, with the per-column min/max
+/// scan fused into the gather pass: for j < 8 and p < k,
+/// dst[j*dst_stride + p] = b.row(p)[q + lane_j], where lane_j = j when
+/// `lanes` is nullptr (8 adjacent columns, plain vector loads) and
+/// lanes[j] otherwise (8 pixels that span output rows, gathered).
+/// lo8[j]/hi8[j] receive column j's min/max (value-equal to the
 /// seed-then-compare scalar loop up to the MinMaxF32Fn +-0 tie caveat),
 /// saving the quantizer a separate sweep over the scratch rows. k >= 1.
-using Transpose8ColMMFn = void (*)(const float* src, int64_t ld, int64_t k,
+using Transpose8ColMMFn = void (*)(const ColsView& b, int64_t q,
+                                   const int32_t* lanes, int64_t k,
                                    float* dst, int64_t dst_stride,
                                    float* lo8, float* hi8);
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/tensor/gemm.h"
@@ -291,26 +292,52 @@ bool EnsurePackedA(bool trans_a, int64_t m, int64_t k, const float* a,
   return true;
 }
 
-void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
-                    const PackedMatrix& apack, bool trans_b, const float* b,
-                    int64_t ldb, float beta, float* c, int64_t ldc,
-                    const Epilogue& epi) {
-  using detail::CeilDiv;
-  MS_CHECK(apack.role_ == PackedMatrix::Role::kA);
-  MS_CHECK(m <= apack.rows_ && k <= apack.cols_);
-  if (m <= 0 || n <= 0) return;
-  g_stats.prepacked_calls.fetch_add(1, std::memory_order_relaxed);
-  if (k <= 0) {
-    BetaMergeEpi(m, n, beta, c, ldc, epi);
+namespace {
+
+void MergeAny(const float* acc, int nr, int64_t i0, int64_t rows, int64_t j0,
+              int64_t cols, float beta, float* c, int64_t ldc,
+              const Epilogue& epi) {
+  if (epi.empty()) {
+    detail::MergeTile(acc, nr, i0, rows, j0, cols, beta, c, ldc);
+  } else {
+    detail::MergeTileEpi(acc, nr, i0, rows, j0, cols, beta, c, ldc, epi);
+  }
+}
+
+/// One B panel row per tap: the nr floats of the wide grid from j0 are
+/// contiguous in the source row, so full panels copy with one fixed-size
+/// memcpy per row; the ragged last panel zero-pads like PackBPanel.
+template <int NR>
+void PackViewPanel(const ColsView& b, int64_t j0, int64_t live, int64_t k,
+                   float* dst) {
+  if (live == NR) {
+    for (int64_t p = 0; p < k; ++p) {
+      std::memcpy(dst + p * NR, b.row(p) + j0, NR * sizeof(float));
+    }
     return;
   }
+  for (int64_t p = 0; p < k; ++p) {
+    float* row = dst + p * NR;
+    std::memcpy(row, b.row(p) + j0, static_cast<size_t>(live) * sizeof(float));
+    std::fill(row + live, row + NR, 0.0f);
+  }
+}
+
+/// The fixed (kMC x kNC) cell walk shared by both GemmPrepackedA forms, over
+/// n B columns: pack_panel(pj, dst) writes B panel pj (k * nr floats), then
+/// merge(acc, i0, rows, j0, live) settles each accumulator tile of C rows
+/// [i0, i0 + rows) and B columns [j0, j0 + live).
+template <class PackPanel, class Merge>
+void PrepackedAWalk(int64_t m, int64_t n, int64_t k, const float* apanels,
+                    int64_t packed_k, const PackPanel& pack_panel,
+                    const Merge& merge) {
+  using detail::CeilDiv;
   const detail::MicroKernelDesc& kd = detail::ActiveKernel();
   const int nr = kd.nr;
   const int mr = kd.mr;
-  MS_CHECK(apack.panel_ == mr);
   // Within-band panel stride and band stride are fixed by the FULL packed
   // extents; sliced k reads a row prefix of each mr-wide panel.
-  const int64_t panel_stride = mr * apack.cols_;
+  const int64_t panel_stride = mr * packed_k;
   const int64_t band_stride = CeilDiv(detail::kMC, mr) * panel_stride;
 
   const int64_t m_bands = CeilDiv(m, detail::kMC);
@@ -323,12 +350,7 @@ void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
   float* bpack = arena.Alloc(n_panels * nr * k);
 
   auto pack_b = [&](int64_t p0, int64_t p1) {
-    for (int64_t pj = p0; pj < p1; ++pj) {
-      const int64_t j0 = pj * nr;
-      detail::PackBPanel(trans_b, b, ldb, j0,
-                         std::min<int64_t>(nr, n - j0), k, nr,
-                         bpack + pj * nr * k);
-    }
+    for (int64_t pj = p0; pj < p1; ++pj) pack_panel(pj, bpack + pj * nr * k);
   };
   auto compute_cells = [&](int64_t c0, int64_t c1) {
     alignas(64) float acc[detail::kMaxMr * detail::kMaxNr];
@@ -345,20 +367,12 @@ void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
         const int64_t live_cols = std::min<int64_t>(nr, n - j0);
         for (int64_t pi = 0; pi * mr < rows; ++pi) {
           // Rows past m in the last live panel hold real (full-weight)
-          // values rather than Gemm's zero padding; MergeTile's row count
+          // values rather than Gemm's zero padding; the merge's row count
           // discards them identically.
-          kd.kernel(k,
-                    apack.data_ + bi * band_stride + pi * panel_stride,
-                    bpanel, acc);
-          if (epi.empty()) {
-            detail::MergeTile(acc, nr, i_base + pi * mr,
-                              std::min<int64_t>(mr, rows - pi * mr), j0,
-                              live_cols, beta, c, ldc);
-          } else {
-            detail::MergeTileEpi(acc, nr, i_base + pi * mr,
-                                 std::min<int64_t>(mr, rows - pi * mr), j0,
-                                 live_cols, beta, c, ldc, epi);
-          }
+          kd.kernel(k, apanels + bi * band_stride + pi * panel_stride, bpanel,
+                    acc);
+          merge(acc, i_base + pi * mr, std::min<int64_t>(mr, rows - pi * mr),
+                j0, live_cols);
         }
       }
     }
@@ -371,6 +385,80 @@ void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
     pack_b(0, n_panels);
     compute_cells(0, m_bands * n_bands);
   }
+}
+
+}  // namespace
+
+void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
+                    const PackedMatrix& apack, bool trans_b, const float* b,
+                    int64_t ldb, float beta, float* c, int64_t ldc,
+                    const Epilogue& epi) {
+  MS_CHECK(apack.role_ == PackedMatrix::Role::kA);
+  MS_CHECK(m <= apack.rows_ && k <= apack.cols_);
+  if (m <= 0 || n <= 0) return;
+  g_stats.prepacked_calls.fetch_add(1, std::memory_order_relaxed);
+  if (k <= 0) {
+    BetaMergeEpi(m, n, beta, c, ldc, epi);
+    return;
+  }
+  MS_CHECK(apack.panel_ == detail::ActiveKernel().mr);
+  const int nr = detail::ActiveKernel().nr;
+  PrepackedAWalk(
+      m, n, k, apack.data_, apack.cols_,
+      [&](int64_t pj, float* dst) {
+        const int64_t j0 = pj * nr;
+        detail::PackBPanel(trans_b, b, ldb, j0, std::min<int64_t>(nr, n - j0),
+                           k, nr, dst);
+      },
+      [&](const float* acc, int64_t i0, int64_t rows, int64_t j0,
+          int64_t live) {
+        MergeAny(acc, nr, i0, rows, j0, live, beta, c, ldc, epi);
+      });
+}
+
+void GemmPrepackedA(int64_t m, int64_t k, const PackedMatrix& apack,
+                    const ColsView& b, float beta, float* c, int64_t ldc,
+                    const Epilogue& epi) {
+  MS_CHECK(apack.role_ == PackedMatrix::Role::kA);
+  MS_CHECK(m <= apack.rows_ && k <= apack.cols_);
+  const int64_t n = b.cols();
+  if (m <= 0 || n <= 0) return;
+  g_stats.prepacked_calls.fetch_add(1, std::memory_order_relaxed);
+  if (k <= 0) {
+    BetaMergeEpi(m, n, beta, c, ldc, epi);
+    return;
+  }
+  MS_CHECK(apack.panel_ == detail::ActiveKernel().mr);
+  const int nr = detail::ActiveKernel().nr;
+  const int64_t wide = b.wide_cols();
+  auto pack_panel = [&](int64_t pj, float* dst) {
+    const int64_t j0 = pj * nr;
+    const int64_t live = std::min<int64_t>(nr, wide - j0);
+    if (nr == 16) {
+      PackViewPanel<16>(b, j0, live, k, dst);
+    } else {
+      PackViewPanel<8>(b, j0, live, k, dst);
+    }
+  };
+  // Wide column q = oi * pitch + oj is output pixel oi * out_w + oj when
+  // oj < out_w; the tile merges once per run of such columns.
+  auto merge = [&](const float* acc, int64_t i0, int64_t rows, int64_t j0,
+                   int64_t live) {
+    const int64_t end = j0 + live;
+    for (int64_t q = j0; q < end;) {
+      const int64_t oi = q / b.pitch;
+      const int64_t oj = q - oi * b.pitch;
+      if (oj >= b.out_w) {
+        q = (oi + 1) * b.pitch;
+        continue;
+      }
+      const int64_t run = std::min(end, oi * b.pitch + b.out_w) - q;
+      MergeAny(acc + (q - j0), nr, i0, rows, oi * b.out_w + oj, run, beta, c,
+               ldc, epi);
+      q += run;
+    }
+  };
+  PrepackedAWalk(m, wide, k, apack.data_, apack.cols_, pack_panel, merge);
 }
 
 // ---------------------------------------------------------------------------

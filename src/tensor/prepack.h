@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "src/tensor/cols_view.h"
 #include "src/tensor/epilogue.h"
 
 namespace ms {
@@ -93,6 +94,9 @@ class PackedMatrix {
   friend void GemmPrepackedA(int64_t, int64_t, int64_t, const PackedMatrix&,
                              bool, const float*, int64_t, float, float*,
                              int64_t, const Epilogue&);
+  friend void GemmPrepackedA(int64_t, int64_t, const PackedMatrix&,
+                             const ColsView&, float, float*, int64_t,
+                             const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `floats` floats (reuses the
   /// existing allocation when large enough).
@@ -139,7 +143,8 @@ void GemmPrepackedB(bool trans_a, int64_t m, int64_t n, int64_t k,
 
 // ---------------------------------------------------------------------------
 // A-role packs (op(A) is M x K). Weights used as the left operand: conv
-// layers multiply W (out_channels x in_channels*k*k) by im2col columns.
+// layers multiply W (out_channels x in_channels*k*k) by the im2col matrix
+// of their input, read in place (cols_view.h).
 // alpha is fixed at 1 (packed panels hold 1*w, exactly what Gemm packs
 // for the alpha the conv layers use).
 
@@ -159,6 +164,15 @@ bool EnsurePackedA(bool trans_a, int64_t m, int64_t k, const float* a,
 void GemmPrepackedA(int64_t m, int64_t n, int64_t k,
                     const PackedMatrix& apack, bool trans_b, const float* b,
                     int64_t ldb, float beta, float* c, int64_t ldc,
+                    const Epilogue& epi = {});
+
+/// The conv form: C[:m, :b.cols()] = Apack[:m, :k] * B + beta * C, where B
+/// (k x b.cols()) is read in place through `b`; `epi` at C-writeback.
+/// Bitwise-equal to materialising B and calling the form above: the B
+/// panels cover b's wide grid, each panel row one contiguous copy, and
+/// the merge drops the columns between output rows.
+void GemmPrepackedA(int64_t m, int64_t k, const PackedMatrix& apack,
+                    const ColsView& b, float beta, float* c, int64_t ldc,
                     const Epilogue& epi = {});
 
 // ---------------------------------------------------------------------------

@@ -127,40 +127,44 @@ void BetaMergeQEpi(int64_t m, int64_t n, float beta, float* c, int64_t ldc,
   }
 }
 
-/// Quantizes rows [i0, i1) of op(A) (m x k) into the segment-padded u8
-/// layout: row i at aq + i*row_bytes, segment g's quads at byte offset
-/// seg_quad_off[g]*4. One affine (min, scale) per row over the active k,
-/// codes in [0, 127]; aeff[i] = alpha * scale[i] and amineff[i] =
-/// alpha * min[i] feed the dequant epilogue directly. Padded positions
-/// hold code 0 — harmless because the matching weight bytes are 0, so
-/// both the integer products and the colsum correction ignore them.
-void QuantizeRowsPadded(bool trans_a, const float* a, int64_t lda,
-                        int64_t i0, int64_t i1, float alpha,
-                        const std::vector<int64_t>& seg_ends, int64_t s_act,
-                        const std::vector<int64_t>& seg_quad_off,
-                        int64_t row_bytes, uint8_t* aq, float* aeff,
-                        float* amineff) {
-  const int64_t k = seg_ends[static_cast<size_t>(s_act - 1)];
-  const detail::MinMaxF32Fn minmax_fn = detail::Avx2MinMaxF32();
-  const detail::EncodeU7Fn encode_fn = detail::Avx2EncodeU7();
+/// Quantizes op(A) rows into the segment-padded u8 layout: row i at
+/// aq + i*row_bytes, segment g's quads at byte offset seg_quad_off[g]*4.
+/// One affine (min, scale) per row over the active k, codes in [0, 127];
+/// aeff[i] = alpha * scale[i] and amineff[i] = alpha * min[i] feed the
+/// dequant epilogue directly. Padded positions hold code 0 — harmless
+/// because the matching weight bytes are 0, so both the integer products
+/// and the colsum correction ignore them.
+class RowQuantizer {
+ public:
+  RowQuantizer(float alpha, const std::vector<int64_t>& seg_ends,
+               int64_t s_act, const std::vector<int64_t>& seg_quad_off,
+               int64_t row_bytes, uint8_t* aq, float* aeff, float* amineff)
+      : alpha_(alpha),
+        seg_ends_(seg_ends),
+        s_act_(s_act),
+        seg_quad_off_(seg_quad_off),
+        row_bytes_(row_bytes),
+        aq_(aq),
+        aeff_(aeff),
+        amineff_(amineff),
+        k_(seg_ends[static_cast<size_t>(s_act - 1)]) {}
 
-  // One contiguous source row -> one padded u8 row. Element-exact across
-  // the AVX2 and scalar flavors (vcvtps2dq and lrintf share
-  // round-to-nearest-even), so the dispatch is pure speed.
-  const auto quant_row_bounded = [&](int64_t i, const float* arow, float lo,
-                                     float hi) {
+  /// Row i from its k contiguous values, whose min and max are known.
+  /// Element-exact across the AVX2 and scalar encoders (vcvtps2dq and
+  /// lrintf share round-to-nearest-even), so the dispatch is pure speed.
+  void Bounded(int64_t i, const float* arow, float lo, float hi) const {
     const float scale = (hi - lo) / 127.0f;
-    aeff[i] = alpha * scale;
-    amineff[i] = alpha * lo;
+    aeff_[i] = alpha_ * scale;
+    amineff_[i] = alpha_ * lo;
     const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    uint8_t* row = aq + i * row_bytes;
-    for (int64_t g = 0; g < s_act; ++g) {
-      const int64_t s0 = g > 0 ? seg_ends[static_cast<size_t>(g - 1)] : 0;
-      const int64_t s1 = seg_ends[static_cast<size_t>(g)];
-      uint8_t* seg = row + seg_quad_off[static_cast<size_t>(g)] * 4;
+    uint8_t* row = aq_ + i * row_bytes_;
+    for (int64_t g = 0; g < s_act_; ++g) {
+      const int64_t s0 = g > 0 ? seg_ends_[static_cast<size_t>(g - 1)] : 0;
+      const int64_t s1 = seg_ends_[static_cast<size_t>(g)];
+      uint8_t* seg = row + seg_quad_off_[static_cast<size_t>(g)] * 4;
       int64_t idx = 0;
-      if (encode_fn != nullptr) {
-        encode_fn(arow + s0, s1 - s0, lo, inv, seg);
+      if (encode_fn_ != nullptr) {
+        encode_fn_(arow + s0, s1 - s0, lo, inv, seg);
         idx = s1 - s0;
       } else {
         for (int64_t p = s0; p < s1; ++p) {
@@ -169,70 +173,73 @@ void QuantizeRowsPadded(bool trans_a, const float* a, int64_t lda,
       }
       while (idx & 3) seg[idx++] = 0;  // pad segments to a full quad
     }
-  };
-  const auto quant_row = [&](int64_t i, const float* arow) {
+  }
+
+  /// Row i from its k contiguous values.
+  void Row(int64_t i, const float* arow) const {
     float lo = 0.0f, hi = 0.0f;
-    if (minmax_fn != nullptr) {
-      minmax_fn(arow, k, &lo, &hi);
+    if (minmax_fn_ != nullptr) {
+      minmax_fn_(arow, k_, &lo, &hi);
     } else {
-      for (int64_t p = 0; p < k; ++p) {
+      for (int64_t p = 0; p < k_; ++p) {
         const float v = arow[p];
         if (p == 0 || v < lo) lo = v;
         if (p == 0 || v > hi) hi = v;
       }
     }
-    quant_row_bounded(i, arow, lo, hi);
-  };
-  // Strided fallback for op(A) columns no 8-wide transpose covers.
-  const auto quant_col_scalar = [&](int64_t i) {
-    float lo = 0.0f, hi = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float v = a[p * lda + i];
-      if (p == 0 || v < lo) lo = v;
-      if (p == 0 || v > hi) hi = v;
-    }
-    const float scale = (hi - lo) / 127.0f;
-    aeff[i] = alpha * scale;
-    amineff[i] = alpha * lo;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    uint8_t* row = aq + i * row_bytes;
-    for (int64_t g = 0; g < s_act; ++g) {
-      const int64_t s0 = g > 0 ? seg_ends[static_cast<size_t>(g - 1)] : 0;
-      const int64_t s1 = seg_ends[static_cast<size_t>(g)];
-      uint8_t* seg = row + seg_quad_off[static_cast<size_t>(g)] * 4;
-      int64_t idx = 0;
-      for (int64_t p = s0; p < s1; ++p) {
-        seg[idx++] = QuantizeValueU7(a[p * lda + i], lo, inv);
-      }
-      while (idx & 3) seg[idx++] = 0;
-    }
-  };
-
-  if (!trans_a) {
-    for (int64_t i = i0; i < i1; ++i) quant_row(i, a + i * lda);
-    return;
+    Bounded(i, arow, lo, hi);
   }
-  // Transposed source (the conv path quantizes op(A) COLUMNS): gather 8
-  // columns at a time into contiguous scratch rows so the vector encode
-  // loop applies, with the per-column min/max scan fused into the gather
-  // pass; leftover columns take the strided scalar loop. Same per-element
-  // math either way.
-  const detail::Transpose8ColMMFn tpose_fn = detail::Avx2Transpose8ColMinMax();
-  int64_t i = i0;
-  if (tpose_fn != nullptr && encode_fn != nullptr && i1 - i0 >= 8 && k > 0) {
+
+  /// Rows [i0, i1) of op(A) = the columns of b: pixel i of a conv operand.
+  /// Eight pixels at a time are gathered into contiguous scratch rows with
+  /// the min/max scan fused in, so the vector encoder applies; the rest
+  /// are gathered one by one. Same per-element math either way.
+  void Columns(const ColsView& b, int64_t i0, int64_t i1) const {
     ScratchArena& arena = ScratchArena::ForThread();
     ScratchArena::Scope scope(arena);
-    float* tp = arena.Alloc(8 * k);
-    float lo8[8], hi8[8];
-    for (; i + 8 <= i1; i += 8) {
-      tpose_fn(a + i, lda, k, tp, k, lo8, hi8);
-      for (int j = 0; j < 8; ++j) {
-        quant_row_bounded(i + j, tp + j * k, lo8[j], hi8[j]);
+    float* tp = arena.Alloc(8 * k_);
+    const auto wide = [&](int64_t i) {
+      const int64_t oi = i / b.out_w;
+      return oi * b.pitch + (i - oi * b.out_w);
+    };
+    const detail::Transpose8ColMMFn tpose_fn =
+        detail::Avx2Transpose8ColMinMax();
+    int64_t i = i0;
+    if (tpose_fn != nullptr && encode_fn_ != nullptr) {
+      float lo8[8], hi8[8];
+      int32_t lanes[8];
+      for (; i + 8 <= i1; i += 8) {
+        const int64_t q = wide(i);
+        const bool adjacent = wide(i + 7) == q + 7;
+        if (!adjacent) {
+          for (int j = 0; j < 8; ++j) {
+            lanes[j] = static_cast<int32_t>(wide(i + j) - q);
+          }
+        }
+        tpose_fn(b, q, adjacent ? nullptr : lanes, k_, tp, k_, lo8, hi8);
+        for (int j = 0; j < 8; ++j) Bounded(i + j, tp + j * k_, lo8[j], hi8[j]);
       }
     }
+    for (; i < i1; ++i) {
+      const int64_t q = wide(i);
+      for (int64_t p = 0; p < k_; ++p) tp[p] = b.row(p)[q];
+      Row(i, tp);
+    }
   }
-  for (; i < i1; ++i) quant_col_scalar(i);
-}
+
+ private:
+  const float alpha_;
+  const std::vector<int64_t>& seg_ends_;
+  const int64_t s_act_;
+  const std::vector<int64_t>& seg_quad_off_;
+  const int64_t row_bytes_;
+  uint8_t* const aq_;
+  float* const aeff_;
+  float* const amineff_;
+  const int64_t k_;
+  const detail::MinMaxF32Fn minmax_fn_ = detail::Avx2MinMaxF32();
+  const detail::EncodeU7Fn encode_fn_ = detail::Avx2EncodeU7();
+};
 
 /// Number of whole segments covered by the sliced k; dies unless k lands
 /// exactly on a segment boundary (slice rates do by construction).
@@ -406,10 +413,15 @@ void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
   float* aeff = arena.Alloc(m);
   float* amineff = arena.Alloc(m);
 
+  const RowQuantizer quant(alpha, bpack.seg_ends_, s_act,
+                           bpack.seg_quad_off_, row_bytes, aq, aeff,
+                           amineff);
   auto quant_rows = [&](int64_t i0, int64_t i1) {
-    QuantizeRowsPadded(trans_a, a, lda, i0, i1, alpha, bpack.seg_ends_,
-                       s_act, bpack.seg_quad_off_, row_bytes, aq, aeff,
-                       amineff);
+    if (trans_a) {
+      quant.Columns(ColsView::Matrix(a, lda, m), i0, i1);
+      return;
+    }
+    for (int64_t i = i0; i < i1; ++i) quant.Row(i, a + i * lda);
   };
   const int64_t flops = 2 * m * n * k;
   // Quantization makes ~3 passes per element (min/max, encode, and for
@@ -483,10 +495,18 @@ void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
                           const QuantizedPack& wpack_t, const float* b,
                           int64_t ldb, float beta, float* c, int64_t ldc,
                           const Epilogue& epi) {
+  GemmQuantizedWeightA(m, k, wpack_t, ColsView::Matrix(b, ldb, n), beta, c,
+                       ldc, epi);
+}
+
+void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
+                          const ColsView& b, float beta, float* c,
+                          int64_t ldc, const Epilogue& epi) {
   MS_CHECK(wpack_t.valid_);
   MS_CHECK_MSG(beta == 0.0f || beta == 1.0f,
                "GemmQuantizedWeightA supports beta in {0, 1}");
   MS_CHECK(k <= wpack_t.rows_ && m <= wpack_t.cols_);
+  const int64_t n = b.cols();
   if (m <= 0 || n <= 0) return;
   g_stats.quantized_calls.fetch_add(1, std::memory_order_relaxed);
   const int64_t s_act = ActiveSegments(wpack_t.seg_ends_, k);
@@ -510,15 +530,14 @@ void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
       arena.Alloc(detail::CeilDiv(n * row_bytes, 4)));
   float* beff = arena.Alloc(n);
   float* bmineff = arena.Alloc(n);
-  auto quant_cols = [&](int64_t i0, int64_t i1) {
-    QuantizeRowsPadded(/*trans_a=*/true, b, ldb, i0, i1, /*alpha=*/1.0f,
-                       wpack_t.seg_ends_, s_act, wpack_t.seg_quad_off_,
-                       row_bytes, bq, beff, bmineff);
-  };
+  const RowQuantizer quant(1.0f, wpack_t.seg_ends_, s_act,
+                           wpack_t.seg_quad_off_, row_bytes, bq, beff,
+                           bmineff);
+  auto quant_cols = [&](int64_t i0, int64_t i1) { quant.Columns(b, i0, i1); };
   const int64_t flops = 2 * m * n * k;
   // Same 6 ops/element weighting as GemmQuantizedB: the column quantize
-  // streams the whole im2col matrix, which serial execution leaves as
-  // the dominant cost of conv-shaped calls.
+  // gathers the whole k x n operand, which serial execution leaves as the
+  // dominant cost of conv-shaped calls.
   if (WorthParallel(6 * n * k, n)) {
     ParallelForCompute(n, quant_cols);
   } else {

@@ -47,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "src/tensor/cols_view.h"
 #include "src/tensor/epilogue.h"
 
 namespace ms {
@@ -99,9 +100,8 @@ class QuantizedPack {
   friend void GemmQuantizedB(bool, int64_t, int64_t, int64_t, float,
                              const float*, int64_t, const QuantizedPack&,
                              float, float*, int64_t, const Epilogue&);
-  friend void GemmQuantizedWeightA(int64_t, int64_t, int64_t,
-                                   const QuantizedPack&, const float*,
-                                   int64_t, float, float*, int64_t,
+  friend void GemmQuantizedWeightA(int64_t, int64_t, const QuantizedPack&,
+                                   const ColsView&, float, float*, int64_t,
                                    const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `bytes` (reuses the existing
@@ -172,6 +172,13 @@ void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
                           const QuantizedPack& wpack_t, const float* b,
                           int64_t ldb, float beta, float* c, int64_t ldc,
                           const Epilogue& epi = {});
+
+/// The conv form: b (k x b.cols()) is read in place through the view
+/// (cols_view.h). Each output pixel is quantized from its own column, as
+/// in the form above, so the two agree bit for bit.
+void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
+                          const ColsView& b, float beta, float* c,
+                          int64_t ldc, const Epilogue& epi = {});
 
 /// True when the int8 path runs the AVX2 madd kernel in this process.
 bool GemmHasInt8Avx2();

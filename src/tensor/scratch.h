@@ -1,9 +1,9 @@
-// Thread-local scratch arena for kernel workspace: im2col buffers, GEMM
-// packing panels, RNN gate pre-activations, per-shard gradient
-// accumulators. A bump allocator over a small list of growing blocks;
-// Scope gives stack discipline, so steady-state iterations reuse the
-// blocks reserved by the first one and perform zero heap allocations
-// (TotalBlockAllocs is the test hook that asserts this).
+// Thread-local scratch arena for kernel workspace: padded conv input
+// planes, im2col buffers, GEMM packing panels, RNN gate pre-activations,
+// per-shard gradient accumulators. A bump allocator over a small list of
+// growing blocks; Scope gives stack discipline, so steady-state
+// iterations reuse the blocks reserved by the first one and perform zero
+// heap allocations (TotalBlockAllocs is the test hook that asserts this).
 #ifndef MODELSLICING_TENSOR_SCRATCH_H_
 #define MODELSLICING_TENSOR_SCRATCH_H_
 
@@ -104,7 +104,9 @@ class ScratchArena {
     if (!blocks_.empty()) cap = blocks_.back().capacity * 2;
     if (cap < need) cap = RoundUp(need);
     Block b;
-    b.storage = std::make_unique<float[]>(cap + kAlign);
+    // Uninitialised, as Alloc promises: a zero-fill would make the whole
+    // block resident even when a scope only touches its head.
+    b.storage = std::make_unique_for_overwrite<float[]>(cap + kAlign);
     const auto addr = reinterpret_cast<uintptr_t>(b.storage.get());
     const uintptr_t aligned =
         (addr + kAlign * sizeof(float) - 1) & ~(kAlign * sizeof(float) - 1);

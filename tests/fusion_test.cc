@@ -19,6 +19,8 @@
 //     precisions, and in training as well as inference forwards.
 //   * Layer biases ride the GEMM epilogue in training too, bitwise equal
 //     to the GEMM followed by a separate bias pass.
+//   * The conv forward, which reads its im2col matrix in place, equals
+//     Im2Col + the matrix entry points bit for bit, in both precisions.
 //
 // This TU applies detail::EpiApply as a reference post-pass; its
 // scale-shift is a contractible mul+add, so tests/CMakeLists.txt compiles
@@ -26,6 +28,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -42,6 +45,7 @@
 #include "src/nn/norm.h"
 #include "src/nn/residual.h"
 #include "src/nn/serialize.h"
+#include "src/nn/slice_spec.h"
 #include "src/tensor/activation_arena.h"
 #include "src/tensor/activation_planner.h"
 #include "src/tensor/epilogue.h"
@@ -633,6 +637,96 @@ TEST(ModelFusion, TrainingBiasInEpilogueEqualsSeparatePass) {
       for (int64_t p = 0; p < area; ++p) want_c[c * area + p] += conv.bias()[c];
     }
     ExpectBitwise(yc, want_c, "Conv2d training forward vs GEMM + bias pass");
+  }
+}
+
+// The conv forward reads its im2col matrix in place from padded input
+// planes. It must equal the materialised matrix run through the matrix
+// entry points bit for bit: Im2Col + GemmRef in fp32 (training, and
+// inference with the fused ReLU), Im2Col + GemmQuantizedWeightA in int8.
+// Covers batch, kernel, stride and padding, slice rates, two kMC bands of
+// output channels (96 > 64 at r = 1) and 1, 2 and 4 compute threads.
+TEST(ConvForward, InPlaceIm2ColMatchesMaterialisedOracle) {
+  GlobalStateGuard guard;
+  Rng rng(620);
+  constexpr int64_t kIn = 8, kOut = 96, kGroups = 4, kH = 7, kW = 6;
+  for (int64_t kernel : {1, 3}) {
+    for (int64_t stride : {1, 2}) {
+      for (int64_t pad : {0, 1}) {
+        Conv2dOptions o;
+        o.in_channels = kIn;
+        o.out_channels = kOut;
+        o.kernel = kernel;
+        o.stride = stride;
+        o.pad = pad;
+        o.groups = kGroups;
+        o.bias = true;
+        Conv2d conv(o, &rng);
+        for (int64_t c = 0; c < kOut; ++c) {
+          (*conv.mutable_bias())[c] = 0.05f * static_cast<float>(c % 7) - 0.1f;
+        }
+        conv.SetFusedActivation(EpiAct::kRelu);
+        const int64_t kk = kernel * kernel;
+        const int64_t ld_w = kIn * kk;
+        const SliceSpec spec(kIn, kGroups);
+        std::vector<int64_t> k_ends;
+        for (int64_t g = 1; g <= kGroups; ++g) {
+          k_ends.push_back(spec.GroupBoundary(g) * kk);
+        }
+        ops::QuantizedPack qpack;
+        ops::EnsureQuantizedB(true, ld_w, kOut, conv.weight().data(), ld_w,
+                              k_ends, &qpack);
+        const int64_t oh = (kH + 2 * pad - kernel) / stride + 1;
+        const int64_t ow = (kW + 2 * pad - kernel) / stride + 1;
+        const int64_t area = oh * ow;
+        for (int64_t batch : {1, 3}) {
+          for (double rate : {1.0, 0.5, 0.25}) {
+            conv.SetSliceRate(rate);
+            const int64_t ci = conv.active_in(), co = conv.active_out();
+            const int64_t taps = ci * kk;
+            Tensor x = Tensor::Randn({batch, ci, kH, kW}, &rng);
+            Tensor cols({taps, area});
+            Tensor want_train({batch, co, oh, ow});
+            Tensor want_infer({batch, co, oh, ow});
+            Tensor want_int8({batch, co, oh, ow});
+            for (int64_t img = 0; img < batch; ++img) {
+              ops::Im2Col(x.data() + img * ci * kH * kW, ci, kH, kW, kernel,
+                          stride, pad, cols.data());
+              const int64_t at = img * co * area;
+              Epilogue e;
+              e.bias = conv.bias().data();
+              e.per_row = true;
+              ops::GemmRef(false, false, co, area, taps, 1.0f,
+                           conv.weight().data(), ld_w, cols.data(), area,
+                           0.0f, want_train.data() + at, area, e);
+              e.act = EpiAct::kRelu;
+              ops::GemmRef(false, false, co, area, taps, 1.0f,
+                           conv.weight().data(), ld_w, cols.data(), area,
+                           0.0f, want_infer.data() + at, area, e);
+              ops::GemmQuantizedWeightA(co, area, taps, qpack, cols.data(),
+                                        area, 0.0f, want_int8.data() + at,
+                                        area, e);
+            }
+            const std::string where =
+                "k" + std::to_string(kernel) + " s" + std::to_string(stride) +
+                " p" + std::to_string(pad) + " b" + std::to_string(batch) +
+                " r" + std::to_string(rate);
+            for (int threads : {1, 2, 4}) {
+              ops::SetComputeThreads(threads);
+              const std::string at = where + " t" + std::to_string(threads);
+              conv.SetPrecision(Precision::kFp32);
+              ExpectBitwise(conv.Forward(x, /*training=*/true), want_train,
+                            ("fp32 training " + at).c_str());
+              ExpectBitwise(conv.Forward(x, /*training=*/false), want_infer,
+                            ("fp32 inference " + at).c_str());
+              conv.SetPrecision(Precision::kInt8);
+              ExpectBitwise(conv.Forward(x, /*training=*/false), want_int8,
+                            ("int8 inference " + at).c_str());
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -457,13 +457,22 @@ TEST(SlicedMatmul, MatchesDirectEntryPointsAtEveryRate) {
         }
         for (int threads : {1, 4}) {
           ops::SetComputeThreads(threads);
+          // The left role takes its operand as a (plain-matrix) view.
+          auto apply = [&](Tensor* y) {
+            if (right) {
+              mm.Apply(m, n, k, alpha, x.data(), 0.0f, y->data(), epi);
+            } else {
+              mm.Apply(ops::ColsView::Matrix(x.data(), m, m), n, k, 0.0f,
+                       y->data(), epi);
+            }
+          };
           mm.Prepare(p, /*training=*/false);
           Tensor y(y_ref.shape());
-          mm.Apply(m, n, k, alpha, x.data(), 0.0f, y.data(), epi);
+          apply(&y);
           ExpectSameBits(y, y_ref, "SlicedMatmul::Apply");
           // Training contracts in fp32 whatever the precision.
           mm.Prepare(p, /*training=*/true);
-          mm.Apply(m, n, k, alpha, x.data(), 0.0f, y.data(), epi);
+          apply(&y);
           ExpectSameBits(y, y_fp32, "SlicedMatmul::Apply in training");
           Tensor dx(dx_ref.shape());
           mm.ApplyTransposed(m, n, k, alpha, gy.data(), 0.0f, dx.data());

@@ -145,7 +145,8 @@ TEST(SteadyState, SlicedMatmulPrepareApplyZeroAlloc) {
       right.Prepare(p, /*training=*/false);
       right.Apply(m, rows / 2, 20, 1.0f, x.data(), 0.0f, y.data());
       left.Prepare(p, /*training=*/false);
-      left.Apply(m, rows / 2, 20, 1.0f, x.data(), 0.0f, y.data());
+      left.Apply(ops::ColsView::Matrix(x.data(), m, m), rows / 2, 20, 0.0f,
+                 y.data());
     }
   });
   // The first iteration packs all four forms; later ones pack nothing.

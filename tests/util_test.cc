@@ -1,10 +1,19 @@
 // Tests for the utility substrate: Status/Result, deterministic RNG, CSV,
-// string helpers and the thread pool.
+// string helpers, the thread pool and the compute pool built on it.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <fstream>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/tensor/gemm.h"
 #include "src/util/csv.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
@@ -176,6 +185,87 @@ TEST(ThreadPool, HandlesEmptyAndTinyRanges) {
     total += static_cast<int>(end - begin);
   });
   EXPECT_EQ(total.load(), 1);
+}
+
+TEST(ThreadPool, CallerRunsFirstShardWithNestedSectionsInline) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<std::pair<int64_t, int64_t>> ranges;
+  std::thread::id first_shard_thread;
+  bool first_shard_in_worker = false;
+  std::vector<std::pair<int64_t, int64_t>> nested;
+  pool.ParallelFor(100, [&](int64_t begin, int64_t end) {
+    if (begin == 0) {
+      first_shard_thread = std::this_thread::get_id();
+      first_shard_in_worker = ThreadPool::InWorkerThread();
+      // Nested inside the caller's shard: one inline call over the range.
+      pool.ParallelFor(10, [&](int64_t b, int64_t e) {
+        nested.emplace_back(b, e);
+      });
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ranges.emplace_back(begin, end);
+  });
+  EXPECT_EQ(first_shard_thread, caller);
+  EXPECT_TRUE(first_shard_in_worker);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+  EXPECT_EQ(nested, (std::vector<std::pair<int64_t, int64_t>>{{0, 10}}));
+  // Three workers plus the caller: four shards of 25.
+  std::sort(ranges.begin(), ranges.end());
+  EXPECT_EQ(ranges, (std::vector<std::pair<int64_t, int64_t>>{
+                        {0, 25}, {25, 50}, {50, 75}, {75, 100}}));
+}
+
+TEST(ThreadPool, CallerShardExceptionWaitsForTheOthers) {
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.ParallelFor(3,
+                                [&](int64_t begin, int64_t) {
+                                  if (begin == 0) throw std::runtime_error("x");
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(20));
+                                  ++finished;
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 2);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
+// The compute pool runs a ParallelForCompute on ComputeThreads() threads —
+// the caller and ComputeThreads() - 1 workers — over the same static
+// partition as a pool of ComputeThreads() workers that leaves the caller
+// idle: min(n, threads) shards of ceil(n / shards) indices.
+TEST(ComputePool, ShardsAndThreadsFollowComputeThreads) {
+  const int saved = ops::ComputeThreads();
+  for (int threads = 1; threads <= 5; ++threads) {
+    ops::SetComputeThreads(threads);
+    std::set<std::thread::id> ids;
+    for (int64_t n : {1, 2, 5, 7, 64, 1000}) {
+      std::mutex mu;
+      std::vector<std::pair<int64_t, int64_t>> got;
+      std::vector<int> hits(static_cast<size_t>(n), 0);
+      ops::ParallelForCompute(n, [&](int64_t begin, int64_t end) {
+        std::lock_guard<std::mutex> lock(mu);
+        got.emplace_back(begin, end);
+        ids.insert(std::this_thread::get_id());
+        for (int64_t i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
+      });
+      const int64_t shards = std::min<int64_t>(n, threads);
+      const int64_t chunk = (n + shards - 1) / shards;
+      std::vector<std::pair<int64_t, int64_t>> want;
+      for (int64_t begin = 0; begin < n; begin += chunk) {
+        want.emplace_back(begin, std::min(n, begin + chunk));
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "threads " << threads << " n " << n;
+      for (int h : hits) EXPECT_EQ(h, 1);
+    }
+    EXPECT_LE(ids.size(), static_cast<size_t>(threads));
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+    EXPECT_FALSE(ThreadPool::InWorkerThread());
+  }
+  ops::SetComputeThreads(saved);
 }
 
 }  // namespace
