@@ -8,22 +8,21 @@
 namespace ms {
 namespace ops {
 
-ConvPlanes::ConvPlanes(int64_t channels_, int64_t h_, int64_t w_,
-                       int64_t kernel_, int64_t stride_, int64_t pad_)
-    : channels(channels_),
-      h(h_),
-      w(w_),
-      kernel(kernel_),
-      stride(stride_),
-      pad(pad_),
-      out_h((h_ + 2 * pad_ - kernel_) / stride_ + 1),
-      out_w((w_ + 2 * pad_ - kernel_) / stride_ + 1),
-      phases(std::min(stride_, kernel_)),
+ConvPlanes::ConvPlanes(int64_t channels, int64_t h, int64_t w,
+                       int64_t kernel, int64_t stride, int64_t pad)
+    : channels(channels),
+      h(h),
+      w(w),
+      kernel(kernel),
+      stride(stride),
+      pad(pad),
+      out_h((h + 2 * pad - kernel) / stride + 1),
+      out_w((w + 2 * pad - kernel) / stride + 1),
+      phases(std::min(stride, kernel)),
       // Tap ki reads phase row oi + ki / stride, so the last output row
       // needs (kernel - 1) / stride rows below it.
-      plane_h(out_h + (kernel_ - 1) / stride_),
-      plane_w(out_w + (kernel_ - 1) / stride_) {
-  MS_CHECK(kernel >= 1 && stride >= 1 && pad >= 0);
+      plane_h(out_h + (kernel - 1) / stride),
+      plane_w(out_w + (kernel - 1) / stride) {
   MS_CHECK(out_h >= 1 && out_w >= 1);
 }
 

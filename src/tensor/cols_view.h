@@ -50,7 +50,7 @@ struct ColsView {
 };
 
 /// The padded phase-plane layout of one image for a conv with the given
-/// shape, and the im2col view over it.
+/// shape (kernel, stride >= 1, pad >= 0), and the im2col view over it.
 struct ConvPlanes {
   ConvPlanes(int64_t channels, int64_t h, int64_t w, int64_t kernel,
              int64_t stride, int64_t pad);
