@@ -65,9 +65,9 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const int64_t ow = planes.out_w;
   const int64_t out_area = oh * ow;
 
-  // Copy-assign reuses capacity when shapes repeat, so steady-state
-  // forwards stay allocation-free.
-  cached_x_ = x;
+  // Only backward reads the input copy. Copy-assign reuses capacity when
+  // shapes repeat, so steady-state training forwards stay allocation-free.
+  if (training) cached_x_ = x;
   cached_h_ = h;
   cached_w_ = w;
   last_oh_ = oh;

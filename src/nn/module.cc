@@ -34,6 +34,7 @@ thread_local int t_forward_depth = 0;
 }  // namespace
 
 Tensor Module::Forward(const Tensor& x, bool training) {
+  last_forward_training_ = training;
   // Opens the forced arena scope only at the OUTERMOST Forward of this
   // thread (depth 0) and only when no arena is already bound.
   std::optional<ActivationScope> forced;
@@ -62,6 +63,8 @@ Tensor Module::Forward(const Tensor& x, bool training) {
 }
 
 Tensor Module::Backward(const Tensor& grad_out) {
+  MS_CHECK_MSG(last_forward_training_,
+               name() + "::Backward requires a training-mode Forward");
   obs::SliceProfiler* profiler = obs::SliceProfiler::Active();
   const bool tracing = obs::TraceCollector::Global().enabled();
   if (profiler == nullptr && !tracing) return DoBackward(grad_out);

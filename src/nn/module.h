@@ -49,8 +49,10 @@ class Module {
   Tensor Forward(const Tensor& x, bool training);
 
   /// Given dL/d(output), accumulate parameter gradients (into the active
-  /// prefix) and return dL/d(input). Must be called after Forward with the
-  /// same slice rate; layers cache what they need.
+  /// prefix) and return dL/d(input). The last Forward must have been a
+  /// training-mode one at the same slice rate: only it caches what
+  /// backward needs (inference forwards keep no backward state), and a
+  /// Backward after an inference Forward dies.
   Tensor Backward(const Tensor& grad_out);
 
   /// Set the current slice rate r in (0, 1]. Non-sliceable layers ignore it.
@@ -89,6 +91,9 @@ class Module {
 
   /// Current precision for DoForward implementations.
   Precision precision_ = Precision::kFp32;
+
+ private:
+  bool last_forward_training_ = false;  ///< checked by Backward
 };
 
 /// \brief Runs child modules in order; the workhorse container for CNN/MLP
@@ -135,24 +140,16 @@ class Sequential : public Module {
  protected:
   Tensor DoForward(const Tensor& x, bool training) override {
     Tensor h = x;
-    bypassed_last_.assign(children_.size(), 0);
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (!training && children_[i]->BypassedAtInference()) {
-        bypassed_last_[i] = 1;
-        continue;
-      }
-      h = children_[i]->Forward(h, training);
+    for (auto& child : children_) {
+      if (!training && child->BypassedAtInference()) continue;
+      h = child->Forward(h, training);
     }
     return h;
   }
 
   Tensor DoBackward(const Tensor& grad_out) override {
-    // Children bypassed by the last forward did not run and hold no cached
-    // state — skip them on the way back too (only reachable after an
-    // inference forward, where gradients are shape-propagation only).
     Tensor g = grad_out;
     for (size_t i = children_.size(); i-- > 0;) {
-      if (i < bypassed_last_.size() && bypassed_last_[i]) continue;
       g = children_[i]->Backward(g);
     }
     return g;
@@ -169,7 +166,6 @@ class Sequential : public Module {
  private:
   std::string name_ = "sequential";
   std::vector<std::unique_ptr<Module>> children_;
-  std::vector<uint8_t> bypassed_last_;  ///< per-child skip flags, last forward
 };
 
 }  // namespace ms

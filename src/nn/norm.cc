@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/tensor/gemm.h"
 #include "src/tensor/gemm_internal.h"
 
 namespace ms {
@@ -47,31 +48,47 @@ ops::detail::SumSqF32Fn ActiveSumSq() {
   return fn;
 }
 
-template <ops::EpiAct Act>
-void ApplyActInPlace(float* __restrict__ v, int64_t n) {
-  for (int64_t p = 0; p < n; ++p) v[p] = ops::detail::EpiActApplyCT<Act>(v[p]);
+// Mean and 1/std of one (sample, group) slab of `count` floats.
+void GroupStats(ops::detail::SumSqF32Fn sumsq_fn, const float* xg,
+                int64_t count, float eps, float* mean, float* inv_std) {
+  double sum = 0.0, sumsq = 0.0;
+  sumsq_fn(xg, count, &sum, &sumsq);
+  const double m = sum / static_cast<double>(count);
+  double var = sumsq / static_cast<double>(count) - m * m;
+  if (var < 0.0) var = 0.0;  // guard the one-pass identity's rounding
+  *mean = static_cast<float>(m);
+  *inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
 }
 
-// Fused activation as one vectorized sweep AFTER the normalization write,
-// instead of a per-element runtime switch inside it: the act dispatch
-// happens once per forward, the write loop stays branch-free for both the
-// fused and unfused paths (identical pre-activation values by
-// construction), and the activation itself is applied to the exact floats
-// the unfused activation module would have read.
-void ApplyFusedAct(ops::EpiAct act, float* v, int64_t n) {
+// act(γ·x̂ + β) over one channel plane, x̂ = (x − mean)·inv_std: the
+// training path's expressions, so the pre-activation floats are its own,
+// and the activation is resolved at compile time so the loop stays
+// branch-free. The inference write loop of both norms.
+template <ops::EpiAct Act>
+void NormalizePlane(const float* __restrict__ x, float* __restrict__ y,
+                    int64_t n, float mean, float inv_std, float gam,
+                    float bet) {
+  for (int64_t p = 0; p < n; ++p) {
+    const float h = (x[p] - mean) * inv_std;
+    y[p] = ops::detail::EpiActApplyCT<Act>(gam * h + bet);
+  }
+}
+
+using NormalizeFn = void (*)(const float*, float*, int64_t, float, float,
+                             float, float);
+
+NormalizeFn NormalizeFor(ops::EpiAct act) {
   switch (act) {
     case ops::EpiAct::kRelu:
-      ApplyActInPlace<ops::EpiAct::kRelu>(v, n);
-      break;
+      return &NormalizePlane<ops::EpiAct::kRelu>;
     case ops::EpiAct::kSigmoid:
-      ApplyActInPlace<ops::EpiAct::kSigmoid>(v, n);
-      break;
+      return &NormalizePlane<ops::EpiAct::kSigmoid>;
     case ops::EpiAct::kTanh:
-      ApplyActInPlace<ops::EpiAct::kTanh>(v, n);
-      break;
+      return &NormalizePlane<ops::EpiAct::kTanh>;
     case ops::EpiAct::kNone:
       break;
   }
+  return &NormalizePlane<ops::EpiAct::kNone>;
 }
 
 }  // namespace
@@ -98,10 +115,10 @@ void GroupNorm::DoSetSliceRate(double r) {
 }
 
 Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
-  (void)training;  // GN behaves identically at train and test time.
   MS_CHECK(x.ndim() >= 2);
   MS_CHECK_MSG(x.dim(1) == active_channels_,
                "GroupNorm input channels != active prefix");
+  if (!training) return ForwardInference(x);
   const int64_t batch = x.dim(0);
   const int64_t area = SpatialArea(x);
   cached_batch_ = batch;
@@ -113,38 +130,61 @@ Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
   Tensor y = Tensor::Uninit(x.shape());
   cached_xhat_.EnsureShape(x.shape());
   const ops::detail::SumSqF32Fn sumsq_fn = ActiveSumSq();
-  const ops::EpiAct act = training ? ops::EpiAct::kNone : fused_act_;
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t g = 0; g < active_groups_; ++g) {
       const int64_t c0 = spec_.GroupBoundary(g);
       const int64_t c1 = spec_.GroupBoundary(g + 1);
-      const int64_t count = (c1 - c0) * area;
-      const float* xg = x.data() + (b * active_channels_ + c0) * area;
-      double sum = 0.0, sumsq = 0.0;
-      sumsq_fn(xg, count, &sum, &sumsq);
-      const double mean = sum / static_cast<double>(count);
-      double var = sumsq / static_cast<double>(count) - mean * mean;
-      if (var < 0.0) var = 0.0;  // guard the one-pass identity's rounding
-      const float inv_std =
-          1.0f / std::sqrt(static_cast<float>(var) + opts_.eps);
+      const int64_t off0 = (b * active_channels_ + c0) * area;
+      float mean, inv_std;
+      GroupStats(sumsq_fn, x.data() + off0, (c1 - c0) * area, opts_.eps, &mean,
+                 &inv_std);
       cached_inv_std_[static_cast<size_t>(b * active_groups_ + g)] = inv_std;
 
-      float* xh = cached_xhat_.data() + (b * active_channels_ + c0) * area;
-      float* yo = y.data() + (b * active_channels_ + c0) * area;
+      const float* xg = x.data() + off0;
+      float* xh = cached_xhat_.data() + off0;
+      float* yo = y.data() + off0;
       for (int64_t c = c0; c < c1; ++c) {
         const float gam = gamma_[c];
         const float bet = beta_[c];
         const int64_t off = (c - c0) * area;
         for (int64_t p = 0; p < area; ++p) {
-          const float xv = xg[off + p];
-          const float h = (xv - static_cast<float>(mean)) * inv_std;
+          const float h = (xg[off + p] - mean) * inv_std;
           xh[off + p] = h;
           yo[off + p] = gam * h + bet;
         }
       }
     }
   }
-  ApplyFusedAct(act, y.data(), y.size());
+  return y;
+}
+
+Tensor GroupNorm::ForwardInference(const Tensor& x) const {
+  const int64_t batch = x.dim(0);
+  const int64_t area = SpatialArea(x);
+  Tensor y = Tensor::Uninit(x.shape());
+  const ops::detail::SumSqF32Fn sumsq_fn = ActiveSumSq();
+  const NormalizeFn normalize = NormalizeFor(fused_act_);
+  const float* xd = x.data();
+  float* yd = y.data();
+  // Samples are independent and write disjoint planes; statistics and the
+  // write loop are the training path's, so outputs match it bit for bit.
+  ops::ParallelForCompute(batch, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      for (int64_t g = 0; g < active_groups_; ++g) {
+        const int64_t c0 = spec_.GroupBoundary(g);
+        const int64_t c1 = spec_.GroupBoundary(g + 1);
+        const int64_t off0 = (b * active_channels_ + c0) * area;
+        float mean, inv_std;
+        GroupStats(sumsq_fn, xd + off0, (c1 - c0) * area, opts_.eps, &mean,
+                   &inv_std);
+        for (int64_t c = c0; c < c1; ++c) {
+          const int64_t off = off0 + (c - c0) * area;
+          normalize(xd + off, yd + off, area, mean, inv_std, gamma_[c],
+                    beta_[c]);
+        }
+      }
+    }
+  });
   return y;
 }
 
@@ -244,7 +284,7 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
     cached_xhat_.EnsureShape(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(active_channels_), 0.0f);
   }
-  const ops::EpiAct act = training ? ops::EpiAct::kNone : fused_act_;
+  const NormalizeFn normalize = NormalizeFor(fused_act_);
   for (int64_t c = 0; c < active_channels_; ++c) {
     float mean, inv_std;
     if (training) {
@@ -277,25 +317,26 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
     const float gam = gamma_[c];
     const float bet = beta_[c];
     for (int64_t b = 0; b < batch; ++b) {
-      const float* xc = x.data() + (b * active_channels_ + c) * area;
-      float* yc = y.data() + (b * active_channels_ + c) * area;
-      float* hc = training
-                      ? cached_xhat_.data() + (b * active_channels_ + c) * area
-                      : nullptr;
+      const int64_t off = (b * active_channels_ + c) * area;
+      if (!training) {
+        normalize(x.data() + off, y.data() + off, area, mean, inv_std, gam,
+                  bet);
+        continue;
+      }
+      const float* xc = x.data() + off;
+      float* yc = y.data() + off;
+      float* hc = cached_xhat_.data() + off;
       for (int64_t p = 0; p < area; ++p) {
         const float h = (xc[p] - mean) * inv_std;
-        if (hc) hc[p] = h;
+        hc[p] = h;
         yc[p] = gam * h + bet;
       }
     }
   }
-  ApplyFusedAct(act, y.data(), y.size());
   return y;
 }
 
 Tensor BatchNorm::DoBackward(const Tensor& grad_out) {
-  MS_CHECK_MSG(!cached_xhat_.empty(),
-               "BatchNorm::Backward requires a training-mode Forward");
   const int64_t batch = cached_batch_;
   const int64_t area = cached_area_;
   const int64_t count = batch * area;

@@ -53,6 +53,10 @@ class GroupNorm : public Module {
   ops::EpiAct fused_activation() const { return fused_act_; }
 
  private:
+  /// One parallel sweep over samples: statistics, normalization and the
+  /// fused activation per (sample, group), with no backward state.
+  Tensor ForwardInference(const Tensor& x) const;
+
   NormOptions opts_;
   std::string name_;
   SliceSpec spec_;
@@ -65,7 +69,7 @@ class GroupNorm : public Module {
   Tensor gamma_grad_;
   Tensor beta_grad_;
 
-  // Forward cache for backward.
+  // Training-forward cache for backward.
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;  ///< (B * active_groups)
   int64_t cached_batch_ = 0;

@@ -4,6 +4,7 @@
 #define MODELSLICING_NN_POOLING_H_
 
 #include "src/nn/module.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace ms {
@@ -14,8 +15,8 @@ class MaxPool2d : public Module {
       : kernel_(kernel), stride_(stride) {}
 
   Tensor DoForward(const Tensor& x, bool training) override {
-    (void)training;
     MS_CHECK(x.ndim() == 4);
+    if (!training) return ForwardInference(x);
     n_ = x.dim(0);
     c_ = x.dim(1);
     h_ = x.dim(2);
@@ -39,6 +40,23 @@ class MaxPool2d : public Module {
   std::string name() const override { return "maxpool"; }
 
  private:
+  /// Parallel over samples into an uninitialised output; no argmax.
+  Tensor ForwardInference(const Tensor& x) const {
+    const int64_t c = x.dim(1);
+    const int64_t h = x.dim(2);
+    const int64_t w = x.dim(3);
+    const int64_t oh = (h - kernel_) / stride_ + 1;
+    const int64_t ow = (w - kernel_) / stride_ + 1;
+    Tensor y = Tensor::Uninit({x.dim(0), c, oh, ow});
+    const float* xd = x.data();
+    float* yd = y.data();
+    ops::ParallelForCompute(x.dim(0), [&](int64_t b0, int64_t b1) {
+      ops::MaxPool2dPlanes(xd + b0 * c * h * w, (b1 - b0) * c, h, w, kernel_,
+                           stride_, yd + b0 * c * oh * ow);
+    });
+    return y;
+  }
+
   int64_t kernel_, stride_;
   int64_t n_ = 0, c_ = 0, h_ = 0, w_ = 0, oh_ = 0, ow_ = 0;
   std::vector<int32_t> argmax_;

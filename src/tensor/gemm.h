@@ -62,11 +62,12 @@ void SetComputeThreads(int n);
 bool GemmHasAvx2();
 
 /// Static partition of [0, n) into min(n, ComputeThreads()) shards;
-/// fn(begin, end) runs on disjoint ranges, shard 0 on the calling thread
-/// and the rest on the pool's ComputeThreads() - 1 workers. Serializes
-/// inline when the pool is disabled or the caller is already a pool worker
-/// or inside a shard. Layers use this for batch-level parallelism (one
-/// conv GEMM per image).
+/// fn(begin, end) runs on disjoint ranges. The calling thread runs shard 0
+/// and every shard none of the pool's ComputeThreads() - 1 workers has
+/// claimed, so it never waits for a worker to wake. Serializes inline when
+/// the pool is disabled or the caller is already a pool worker or inside
+/// a shard. Layers use this for batch-level parallelism (one conv GEMM per
+/// image, GroupNorm and max-pool inference per sample).
 void ParallelForCompute(int64_t n,
                         const std::function<void(int64_t, int64_t)>& fn);
 

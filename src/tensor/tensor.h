@@ -236,7 +236,8 @@ class Tensor {
         owner_ = arena;
         ptr_ = owner_->Alloc(n);
       } else {
-        heap_ = std::make_unique<float[]>(static_cast<size_t>(n));
+        heap_ =
+            std::make_unique_for_overwrite<float[]>(static_cast<size_t>(n));
         ptr_ = heap_.get();
       }
     }

@@ -125,17 +125,20 @@ void AvgPool2dBackward(const Tensor& grad_out, int64_t n, int64_t c,
   }
 }
 
-void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
-               int64_t kernel, int64_t stride, Tensor* out,
-               std::vector<int32_t>* argmax) {
+namespace {
+
+// Window maximum per output of `planes` (H, W) planes; records the
+// winning spatial index when kArgmax. Both forms compare in the same
+// order, so ties keep the earlier element and a NaN never wins.
+template <bool kArgmax>
+void MaxPoolPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
+                   int64_t kernel, int64_t stride, float* out,
+                   int32_t* argmax) {
   const int64_t oh = (h - kernel) / stride + 1;
   const int64_t ow = (w - kernel) / stride + 1;
-  MS_CHECK(out->size() == n * c * oh * ow);
-  argmax->assign(static_cast<size_t>(out->size()), 0);
-  for (int64_t img = 0; img < n * c; ++img) {
-    const float* src = x.data() + img * h * w;
-    float* dst = out->data() + img * oh * ow;
-    int32_t* am = argmax->data() + img * oh * ow;
+  for (int64_t img = 0; img < planes; ++img) {
+    const float* src = x + img * h * w;
+    float* dst = out + img * oh * ow;
     for (int64_t oi = 0; oi < oh; ++oi) {
       for (int64_t oj = 0; oj < ow; ++oj) {
         float best = -std::numeric_limits<float>::infinity();
@@ -145,15 +148,33 @@ void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
             const int64_t idx = (oi * stride + ki) * w + (oj * stride + kj);
             if (src[idx] > best) {
               best = src[idx];
-              best_idx = static_cast<int32_t>(idx);
+              if constexpr (kArgmax) best_idx = static_cast<int32_t>(idx);
             }
           }
         }
         dst[oi * ow + oj] = best;
-        am[oi * ow + oj] = best_idx;
+        if constexpr (kArgmax) argmax[img * oh * ow + oi * ow + oj] = best_idx;
       }
     }
   }
+}
+
+}  // namespace
+
+void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
+               int64_t kernel, int64_t stride, Tensor* out,
+               std::vector<int32_t>* argmax) {
+  const int64_t oh = (h - kernel) / stride + 1;
+  const int64_t ow = (w - kernel) / stride + 1;
+  MS_CHECK(out->size() == n * c * oh * ow);
+  argmax->assign(static_cast<size_t>(out->size()), 0);
+  MaxPoolPlanes<true>(x.data(), n * c, h, w, kernel, stride, out->data(),
+                      argmax->data());
+}
+
+void MaxPool2dPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
+                     int64_t kernel, int64_t stride, float* out) {
+  MaxPoolPlanes<false>(x, planes, h, w, kernel, stride, out, nullptr);
 }
 
 void MaxPool2dBackward(const Tensor& grad_out,

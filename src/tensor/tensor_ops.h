@@ -48,6 +48,10 @@ void AvgPool2dBackward(const Tensor& grad_out, int64_t n, int64_t c, int64_t h,
 void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
                int64_t kernel, int64_t stride, Tensor* out,
                std::vector<int32_t>* argmax);
+/// The same maxima without argmax, over `planes` contiguous (H, W) input
+/// planes into as many (OH, OW) output planes: the inference form.
+void MaxPool2dPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
+                     int64_t kernel, int64_t stride, float* out);
 /// images = N*C; in_area = H*W; out_area = OH*OW. argmax holds per-image
 /// spatial indices produced by MaxPool2d.
 void MaxPool2dBackward(const Tensor& grad_out,

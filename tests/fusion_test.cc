@@ -43,6 +43,7 @@
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
+#include "src/nn/pooling.h"
 #include "src/nn/residual.h"
 #include "src/nn/serialize.h"
 #include "src/nn/slice_spec.h"
@@ -537,20 +538,23 @@ TEST(ModelFusion, MlpFusedBitwiseEqualsUnfused) {
 
 TEST(ModelFusion, VggFusedBitwiseEqualsUnfusedBothPrecisions) {
   GlobalStateGuard guard;
-  CnnConfig cfg;
-  cfg.in_channels = 3;
-  cfg.num_classes = 10;
-  cfg.base_width = 8;
-  cfg.stages = 2;
-  cfg.blocks_per_stage = 1;
-  cfg.slice_groups = 4;
-  auto net = MakeVggSmall(cfg).MoveValueOrDie();
-  auto twin = MakeVggSmall(cfg).MoveValueOrDie();
-  Rng rng(411);
-  Tensor x = Tensor::Randn({2, 3, 12, 12}, &rng);
-  ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
-  net->SetPrecision(Precision::kInt8);
-  ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
+  for (NormKind norm : {NormKind::kGroup, NormKind::kBatch}) {
+    CnnConfig cfg;
+    cfg.in_channels = 3;
+    cfg.num_classes = 10;
+    cfg.base_width = 8;
+    cfg.stages = 2;
+    cfg.blocks_per_stage = 1;
+    cfg.slice_groups = 4;
+    cfg.norm = norm;
+    auto net = MakeVggSmall(cfg).MoveValueOrDie();
+    auto twin = MakeVggSmall(cfg).MoveValueOrDie();
+    Rng rng(411);
+    Tensor x = Tensor::Randn({2, 3, 12, 12}, &rng);
+    ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
+    net->SetPrecision(Precision::kInt8);
+    ExpectFusedMatchesUnfused(net.get(), twin.get(), x);
+  }
 }
 
 TEST(ModelFusion, LstmFusedBitwiseEqualsUnfusedBothPrecisions) {
@@ -725,6 +729,61 @@ TEST(ConvForward, InPlaceIm2ColMatchesMaterialisedOracle) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// GroupNorm and MaxPool2d run a separate inference path: one parallel
+// sweep over samples that keeps no backward state. It must reproduce the
+// training forward bit for bit (GroupNorm, also with a fused ReLU against
+// the training forward followed by the ReLU module) and the argmax-recording
+// ops::MaxPool2d, at every rate, batch size and compute thread count.
+TEST(InferencePath, GroupNormAndMaxPoolMatchTrainingForward) {
+  GlobalStateGuard guard;
+  Rng rng(630);
+  NormOptions opts;
+  opts.channels = 16;
+  opts.groups = 4;
+  GroupNorm gn(opts);
+  GroupNorm gn_relu(opts);
+  gn_relu.SetFusedActivation(EpiAct::kRelu);
+  std::vector<ParamRef> params, fused_params;
+  gn.CollectParams(&params);
+  gn_relu.CollectParams(&fused_params);
+  for (size_t i = 0; i < params.size(); ++i) {
+    *params[i].param = Tensor::Randn(params[i].param->shape(), &rng);
+    *fused_params[i].param = *params[i].param;
+  }
+  ReLU relu;
+  MaxPool2d pool(2, 2);
+  for (int threads : {1, 2, 4}) {
+    ops::SetComputeThreads(threads);
+    for (double rate : {0.25, 0.5, 1.0}) {
+      gn.SetSliceRate(rate);
+      gn_relu.SetSliceRate(rate);
+      const int64_t c = gn.active_channels();
+      for (int64_t batch : {1, 3, 8}) {
+        const std::string at = " at threads " + std::to_string(threads) +
+                               " rate " + std::to_string(rate) + " batch " +
+                               std::to_string(batch);
+        for (const std::vector<int64_t>& shape :
+             {std::vector<int64_t>{batch, c, 7, 5},
+              std::vector<int64_t>{batch, c}}) {
+          const Tensor x = Tensor::Randn(shape, &rng);
+          const Tensor plain = gn.Forward(x, /*training=*/true);
+          ExpectBitwise(gn.Forward(x, /*training=*/false), plain,
+                        ("GroupNorm inference" + at).c_str());
+          ExpectBitwise(gn_relu.Forward(x, /*training=*/false),
+                        relu.Forward(plain, /*training=*/true),
+                        ("GroupNorm fused ReLU" + at).c_str());
+        }
+        const Tensor x = Tensor::Randn({batch, c, 7, 5}, &rng);
+        Tensor want({batch, c, 3, 2});
+        std::vector<int32_t> argmax;
+        ops::MaxPool2d(x, batch, c, 7, 5, 2, 2, &want, &argmax);
+        ExpectBitwise(pool.Forward(x, /*training=*/false), want,
+                      ("MaxPool2d inference" + at).c_str());
       }
     }
   }

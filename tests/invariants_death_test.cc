@@ -4,7 +4,9 @@
 #include "gtest/gtest.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
+#include "src/nn/module.h"
 #include "src/nn/norm.h"
+#include "src/nn/pooling.h"
 #include "src/nn/slice_spec.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
@@ -75,6 +77,43 @@ TEST(InvariantsDeathTest, BatchNormBackwardRequiresTrainingForward) {
   bn.Forward(x, /*training=*/false);
   Tensor g = Tensor::Randn({2, 4}, &rng);
   EXPECT_DEATH(bn.Backward(g), "training-mode Forward");
+}
+
+// Backward needs a training-mode Forward, checked once in Module::Backward:
+// inference forwards keep no backward state, and only the last Forward
+// counts.
+TEST(InvariantsDeathTest, GroupNormBackwardRequiresTrainingForward) {
+  NormOptions opts;
+  opts.channels = 4;
+  opts.groups = 2;
+  GroupNorm gn(opts);
+  Rng rng(5);
+  Tensor x = Tensor::Randn({2, 4, 3, 3}, &rng);
+  gn.Forward(x, /*training=*/true);
+  gn.Forward(x, /*training=*/false);
+  EXPECT_DEATH(gn.Backward(x), "training-mode Forward");
+}
+
+TEST(InvariantsDeathTest, MaxPoolBackwardRequiresTrainingForward) {
+  MaxPool2d pool(2, 2);
+  Rng rng(6);
+  Tensor x = Tensor::Randn({1, 2, 4, 4}, &rng);
+  pool.Forward(x, /*training=*/false);
+  Tensor g = Tensor::Randn({1, 2, 2, 2}, &rng);
+  EXPECT_DEATH(pool.Backward(g), "training-mode Forward");
+}
+
+TEST(InvariantsDeathTest, SequentialBackwardRequiresTrainingForward) {
+  NormOptions opts;
+  opts.channels = 4;
+  Sequential seq;
+  seq.Emplace<GroupNorm>(opts);
+  seq.Emplace<MaxPool2d>(2, 2);
+  Rng rng(7);
+  Tensor x = Tensor::Randn({1, 4, 4, 4}, &rng);
+  seq.Forward(x, /*training=*/false);
+  Tensor g = Tensor::Randn({1, 4, 2, 2}, &rng);
+  EXPECT_DEATH(seq.Backward(g), "training-mode Forward");
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST(ResNeXt, OutputShapeAndWidthsDivisibleByBranches) {
   Tensor x = Tensor::Randn({2, 3, 8, 8}, &rng);
   for (double r : {0.25, 0.5, 1.0}) {
     net->SetSliceRate(r);
-    Tensor y = net->Forward(x, false);
+    Tensor y = net->Forward(x, true);
     EXPECT_EQ(y.shape(), (std::vector<int64_t>{2, 7})) << "rate " << r;
     Tensor g = Tensor::Randn(y.shape(), &rng);
     Tensor gx = net->Backward(g);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -229,6 +230,65 @@ TEST(ThreadPool, CallerShardExceptionWaitsForTheOthers) {
                                 }),
                std::runtime_error);
   EXPECT_EQ(finished.load(), 2);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
+// The caller claims every shard no worker has taken: with the only worker
+// stuck in another task, ParallelFor still finishes, on the caller alone,
+// over the usual two shards of ceil(n / 2).
+TEST(ThreadPool, CallerRunsEveryShardWhileTheOnlyWorkerIsBlocked) {
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.Submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int64_t n : {2, 5, 7, 100}) {
+    std::vector<std::pair<int64_t, int64_t>> ranges;
+    std::vector<int> hits(static_cast<size_t>(n), 0);
+    bool on_caller = true;
+    pool.ParallelFor(n, [&](int64_t begin, int64_t end) {
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+      ranges.emplace_back(begin, end);
+      for (int64_t i = begin; i < end; ++i) ++hits[static_cast<size_t>(i)];
+    });
+    const int64_t chunk = (n + 1) / 2;
+    EXPECT_TRUE(on_caller) << "n " << n;
+    EXPECT_EQ(ranges, (std::vector<std::pair<int64_t, int64_t>>{
+                          {0, chunk}, {chunk, n}}))
+        << "n " << n;
+    for (int h : hits) EXPECT_EQ(h, 1);
+    EXPECT_FALSE(ThreadPool::InWorkerThread());
+  }
+  release.count_down();
+}
+
+// An exception thrown in a shard that a worker claimed reaches the caller.
+// The caller's shard 0 holds until the worker has entered shard 1, so the
+// worker is the one that runs it.
+TEST(ThreadPool, WorkerShardExceptionReachesTheCaller) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> entered{false};
+  std::atomic<bool> on_worker{false};
+  EXPECT_THROW(pool.ParallelFor(2,
+                                [&](int64_t begin, int64_t) {
+                                  if (begin == 0) {
+                                    while (!entered.load()) {
+                                      std::this_thread::yield();
+                                    }
+                                    return;
+                                  }
+                                  on_worker = std::this_thread::get_id() !=
+                                              caller;
+                                  entered = true;
+                                  throw std::runtime_error("shard 1");
+                                }),
+               std::runtime_error);
+  EXPECT_TRUE(on_worker.load());
   EXPECT_FALSE(ThreadPool::InWorkerThread());
 }
 
