@@ -30,8 +30,6 @@
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
 #include "src/nn/serialize.h"
-#include "src/tensor/activation_arena.h"
-#include "src/tensor/activation_planner.h"
 #include "src/tensor/epilogue.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/prepack.h"
@@ -565,16 +563,15 @@ int Main() {
   }
 
   // -------------------------------------------------------------------------
-  // Fused epilogues + planned activation arena (epilogue.h, fusion.h,
-  // activation_planner.h). Each row times one serving-shaped model forward
-  // two ways: "fused" is the model as built, applying bias and planted
-  // activations at C-writeback; "unfused" walks a parameter-copied twin
-  // with its fusion marks cleared through UnfusedPipeline, the pre-fusion
-  // pipeline (GEMM, separate bias loops, standalone ReLU/Tanh passes with
-  // their tensor copy and mask). Both compute the same bits
-  // (tests/fusion_test.cc). The geomean feeds
-  // MS_BENCH_FUSION_GATE; MS_BENCH_FUSION_OUT writes the rows plus the
-  // planned arena footprint at each slice rate as JSONL (the checked-in
+  // Fused epilogues and the activation footprint (epilogue.h, fusion.h).
+  // Each row times one serving-shaped model forward two ways: "fused" is
+  // the model as built, applying bias and planted activations at
+  // C-writeback; "unfused" walks a parameter-copied twin with its fusion
+  // marks cleared through UnfusedPipeline, the pre-fusion pipeline (GEMM,
+  // separate bias loops, standalone ReLU/Tanh passes with their tensor
+  // copy). Both compute the same bits (tests/fusion_test.cc). The geomean
+  // feeds MS_BENCH_FUSION_GATE; MS_BENCH_FUSION_OUT writes the rows plus
+  // the activation footprint at each slice rate as JSONL (the checked-in
   // bench_results/BENCH_FUSION.json).
   bench::PrintTitle("fused epilogues: serving-shape layer fwd, fused vs unfused");
   std::printf("%-16s %12s %14s %9s\n", "layer", "fused ms/s", "unfused ms/s",
@@ -625,7 +622,7 @@ int Main() {
 
   // Dense + ReLU at serving batches: bias and activation fold into the
   // prepacked GEMM's C-writeback; unfused runs the separate bias pass and
-  // the standalone ReLU module (tensor copy + mask + pass).
+  // the standalone ReLU module (tensor copy + pass).
   auto make_dense_relu = [&] {
     auto net = std::make_unique<Sequential>("dense_relu");
     DenseOptions o;
@@ -648,7 +645,7 @@ int Main() {
 
   // GroupNorm + ReLU block tails at vgg13's stage map shapes: fused
   // applies the activation at the norm's own write site (one extra
-  // in-cache sweep) instead of the module's copy + mask + pass.
+  // in-cache sweep) instead of the module's copy + pass.
   auto gn_relu_row = [&](int64_t ch, int64_t hw, const char* label) {
     auto make_block = [&] {
       auto block = std::make_unique<Sequential>(label);
@@ -736,57 +733,53 @@ int Main() {
               fusion_geomean);
   registry.GetGauge("bench_fusion.geomean_speedup")->Set(fusion_geomean);
 
-  // Planned activation footprint vs slice rate: one PlanForward per
-  // (model, r) on a fresh arena. packed_bytes is the per-replica
-  // activation peak a planned server reserves; total_alloc_bytes is what
-  // a reuse-free allocator would touch. Weights scale ~r^2, activations
-  // ~r — these rows record the honest activation component of the
-  // paper's footprint curve.
-  bench::PrintTitle("planned activation arena footprint vs slice rate");
-  std::printf("%-14s %6s %14s %14s %14s\n", "model", "r", "packed KiB",
-              "peak-live KiB", "no-reuse KiB");
+  // Activation footprint vs slice rate, from Tensor's live-byte counter:
+  // after a warm forward, reset the high-water mark and run one more; the
+  // peak above the bytes already live is what one request at rate r
+  // allocates for activations. Weights scale ~r^2, activations ~r — these
+  // rows record the activation component of the paper's footprint curve.
+  bench::PrintTitle("activation footprint vs slice rate");
+  std::printf("%-14s %6s %14s\n", "model", "r", "peak-live KiB");
   bench::PrintRule();
-  struct ArenaRow {
+  struct FootprintRow {
     std::string label;
     double rate;
-    ActivationPlan plan;
+    int64_t peak_live_bytes;
   };
-  std::vector<ArenaRow> arena_rows;
-  struct PlanTarget {
+  std::vector<FootprintRow> footprint_rows;
+  struct FootprintTarget {
     const char* label;
     Module* net;
     const Tensor* x;
   };
-  const PlanTarget plan_targets[] = {
+  const FootprintTarget footprint_targets[] = {
       {"vgg13-b1", vgg.get(), &vgg_x},
       {"mlp-b8", mlp.get(), &mlp_x8},
       {"lstm-b1", &lstm_layer, &lstm_x},
   };
-  for (const PlanTarget& target : plan_targets) {
+  for (const FootprintTarget& target : footprint_targets) {
     for (const double r : {0.25, 0.5, 0.75, 1.0}) {
       target.net->SetSliceRate(r);
-      // Warm lazy caches outside the arena so the recording sees only
-      // per-request activations (what steady-state serving allocates).
-      Tensor warm = target.net->Forward(*target.x, /*training=*/false);
-      fusion_sink += warm.data()[0];
-      ActivationArena arena;
-      ActivationPlan plan = PlanForward(&arena, [&] {
+      // The warm forward builds lazy caches (weight packs), so the measured
+      // one sees only per-request activations.
+      {
+        Tensor warm = target.net->Forward(*target.x, /*training=*/false);
+        fusion_sink += warm.data()[0];
+      }
+      const int64_t live_before = Tensor::LiveBytes();
+      Tensor::ResetPeakLiveBytes();
+      {
         Tensor y = target.net->Forward(*target.x, /*training=*/false);
         fusion_sink += y.data()[0];
-      });
-      std::printf("%-14s %6.2f %14.1f %14.1f %14.1f\n", target.label, r,
-                  plan.packed_bytes / 1024.0, plan.peak_live_bytes / 1024.0,
-                  plan.total_alloc_bytes / 1024.0);
-      char gbase[80];
-      std::snprintf(gbase, sizeof(gbase), "bench_fusion.arena.%s-r%.2f",
+      }
+      const int64_t peak = Tensor::PeakLiveBytes() - live_before;
+      std::printf("%-14s %6.2f %14.1f\n", target.label, r, peak / 1024.0);
+      char gname[96];
+      std::snprintf(gname, sizeof(gname),
+                    "bench_fusion.footprint.%s-r%.2f.peak_live_bytes",
                     target.label, r);
-      registry.GetGauge(std::string(gbase) + ".packed_bytes")
-          ->Set(static_cast<double>(plan.packed_bytes));
-      registry.GetGauge(std::string(gbase) + ".peak_live_bytes")
-          ->Set(static_cast<double>(plan.peak_live_bytes));
-      registry.GetGauge(std::string(gbase) + ".total_alloc_bytes")
-          ->Set(static_cast<double>(plan.total_alloc_bytes));
-      arena_rows.push_back({target.label, r, plan});
+      registry.GetGauge(gname)->Set(static_cast<double>(peak));
+      footprint_rows.push_back({target.label, r, peak});
     }
     target.net->SetSliceRate(1.0);
   }
@@ -814,16 +807,12 @@ int Main() {
                    "{\"type\":\"gauge\",\"name\":\"bench_fusion."
                    "geomean_speedup\",\"value\":%.9g}\n",
                    fusion_geomean);
-      for (const ArenaRow& row : arena_rows) {
-        std::fprintf(
-            f,
-            "{\"type\":\"gauge\",\"name\":\"bench_fusion.arena.%s-r%.2f"
-            ".peak_activation_bytes\",\"value\":%lld,"
-            "\"peak_live_bytes\":%lld,\"total_alloc_bytes\":%lld}\n",
-            row.label.c_str(), row.rate,
-            static_cast<long long>(row.plan.packed_bytes),
-            static_cast<long long>(row.plan.peak_live_bytes),
-            static_cast<long long>(row.plan.total_alloc_bytes));
+      for (const FootprintRow& row : footprint_rows) {
+        std::fprintf(f,
+                     "{\"type\":\"gauge\",\"name\":\"bench_fusion.footprint."
+                     "%s-r%.2f.peak_live_bytes\",\"value\":%lld}\n",
+                     row.label.c_str(), row.rate,
+                     static_cast<long long>(row.peak_live_bytes));
       }
       std::fclose(f);
     }

@@ -22,7 +22,6 @@
 #include "src/models/mlp.h"
 #include "src/obs/trace.h"
 #include "src/serving/server.h"
-#include "src/tensor/activation_arena.h"
 #include "src/tensor/prepack.h"
 #include "src/util/fault.h"
 #include "src/util/stopwatch.h"
@@ -96,9 +95,6 @@ int Main() {
   // Start() calibrated and prewarmed every (replica, rate); from here on
   // the serving path must never pack a weight again.
   const uint64_t packs_at_steady = ops::TotalPackCount();
-  // Start() also lifetime-planned and reserved every replica's activation
-  // arena, so the loaded run must not grow a single slab either.
-  const uint64_t slabs_at_steady = ArenaCore::TotalSlabAllocs();
 
   const int num_ticks = bench::FastMode() ? 14 : 24;
   const int spike_tick = bench::FastMode() ? 5 : 8;
@@ -160,33 +156,6 @@ int Main() {
   } else {
     std::printf("steady state packed zero weights (prewarm covered all "
                 "replica x rate packs)\n");
-  }
-  const uint64_t slabs_after = ArenaCore::TotalSlabAllocs();
-  if (slabs_after != slabs_at_steady) {
-    std::printf("FAIL: steady-state serving grew activation slabs %llu "
-                "time(s) after planning — the lifetime plan under-reserved\n",
-                static_cast<unsigned long long>(slabs_after -
-                                                slabs_at_steady));
-    rc = 1;
-  } else {
-    std::printf("steady state allocated zero activation slabs (plans "
-                "covered every replica x rate)\n");
-  }
-  // The planned per-(rate) activation footprint and the realized
-  // per-replica peaks — the honest activation component of the paper's
-  // ~r^2 per-replica memory curve (weights ~r^2, activations ~r).
-  for (const auto& [rate, bytes] : server->planned_activation_bytes()) {
-    std::printf("planned activation bytes at r=%.2f: %lld\n", rate,
-                static_cast<long long>(bytes));
-  }
-  for (int i = 0; i < 2; ++i) {
-    std::printf("replica %d peak_activation_bytes %lld (arena slab %lld)\n",
-                i, static_cast<long long>(
-                       server->replica_peak_activation_bytes(i)),
-                static_cast<long long>(server->replica_arena_slab_bytes(i)));
-    registry.GetGauge("bench_server.replica" + std::to_string(i) +
-                      ".peak_activation_bytes")
-        ->Set(static_cast<double>(server->replica_peak_activation_bytes(i)));
   }
   if (recovered_after < 0 || recovered_after > 3) {
     std::printf("FAIL: queue depth did not return to baseline (%lld) within "

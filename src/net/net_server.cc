@@ -5,10 +5,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#endif
 
 #include "src/obs/metrics.h"
 #include "src/util/fault.h"
@@ -163,8 +161,6 @@ void NetServer::MarkClosed(const std::shared_ptr<Conn>& conn) {
   ::shutdown(conn->sock.fd(), SHUT_RDWR);
 }
 
-#ifdef __linux__
-
 Status NetServer::Start(uint16_t port) {
   if (running_.load()) return Status::FailedPrecondition("already started");
   auto listener = TcpListen(port, &port_);
@@ -303,93 +299,6 @@ void NetServer::Stop() {
     wake_fd_ = -1;
   }
 }
-
-#else  // !__linux__: one blocking reader thread per connection.
-
-Status NetServer::Start(uint16_t port) {
-  if (running_.load()) return Status::FailedPrecondition("already started");
-  auto listener = TcpListen(port, &port_);
-  if (!listener.ok()) return listener.status();
-  listener_ = listener.MoveValueOrDie();
-  SetRecvTimeout(listener_.fd(), 0.2);  // unused for accept; see poll below
-  running_.store(true);
-  loop_ = std::thread(&NetServer::AcceptLoop, this);
-  return Status::OK();
-}
-
-void NetServer::AcceptLoop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    pollfd pfd;
-    pfd.fd = listener_.fd();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    int pr = ::poll(&pfd, 1, 200);
-    if (pr <= 0) continue;
-    Socket s = TcpAccept(listener_.fd());
-    if (!s.valid()) continue;
-    SetRecvTimeout(s.fd(), 0.2);
-    const int cfd = s.fd();
-    auto conn = std::make_shared<Conn>(std::move(s));
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_[cfd] = conn;
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    NetCounter("ms_net_connections_total")->Inc();
-    std::lock_guard<std::mutex> rlock(readers_mu_);
-    readers_.emplace_back(&NetServer::ReaderLoop, this, conn);
-  }
-}
-
-void NetServer::ReaderLoop(std::shared_ptr<Conn> conn) {
-  std::vector<char> buf(kReadChunk);
-  const int fd = conn->sock.fd();
-  while (running_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      if (conn->closed) break;
-    }
-    ssize_t r = ::recv(fd, buf.data(), buf.size(), 0);
-    if (r > 0) {
-      if (!HandleBytes(conn, buf.data(), static_cast<size_t>(r))) break;
-      continue;
-    }
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
-                  errno == EINTR)) {
-      continue;  // recv timeout: re-check running_.
-    }
-    break;  // peer closed or hard error.
-  }
-  MarkClosed(conn);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(fd);
-}
-
-void NetServer::Stop() {
-  if (!running_.exchange(false)) return;
-  if (loop_.joinable()) loop_.join();
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& kv : conns_) conns.push_back(kv.second);
-  }
-  for (auto& conn : conns) MarkClosed(conn);
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> rlock(readers_mu_);
-    readers.swap(readers_);
-  }
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.clear();
-  }
-  listener_.Close();
-}
-
-#endif  // __linux__
 
 }  // namespace net
 }  // namespace ms

@@ -1,8 +1,7 @@
 // TCP frame server for the serving tier. Accepts connections, reassembles
 // wire frames (src/net/wire.h) off the byte stream, and dispatches them to
-// a WireService. On Linux the server runs a single epoll event loop over
-// nonblocking sockets; elsewhere it falls back to one blocking reader
-// thread per connection. Either way replies may be sent from ANY thread
+// a WireService. The server runs a single epoll event loop over
+// nonblocking sockets (Linux only). Replies may be sent from ANY thread
 // (the shard's batcher settles requests long after the read that admitted
 // them), so each connection carries its own write lock.
 //
@@ -22,7 +21,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "src/net/socket.h"
 #include "src/net/wire.h"
@@ -91,7 +89,7 @@ class NetServer {
     std::mutex write_mu;
     /// Set under write_mu when the peer is gone; late replies become
     /// no-ops. The fd itself is closed by whichever side owns teardown
-    /// (epoll loop / reader thread), never by a reply writer.
+    /// (the epoll loop), never by a reply writer.
     bool closed = false;
   };
 
@@ -106,16 +104,9 @@ class NetServer {
   /// Marks closed + shuts down the socket so the read side unblocks.
   void MarkClosed(const std::shared_ptr<Conn>& conn);
 
-#ifdef __linux__
   void EpollLoop();
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd poked by Stop().
-#else
-  void AcceptLoop();
-  void ReaderLoop(std::shared_ptr<Conn> conn);
-  std::mutex readers_mu_;
-  std::vector<std::thread> readers_;  ///< joined in Stop().
-#endif
 
   WireService* service_;
   Options options_;

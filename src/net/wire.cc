@@ -32,7 +32,8 @@ class Reader {
   bool ReadFloats(std::vector<float>* out, size_t n) {
     if ((size_ - pos_) / sizeof(float) < n) return false;
     out->resize(n);
-    std::memcpy(out->data(), data_ + pos_, n * sizeof(float));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(out->data(), data_ + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
     return true;
   }
@@ -40,7 +41,8 @@ class Reader {
   bool ReadDoubles(std::vector<double>* out, size_t n) {
     if ((size_ - pos_) / sizeof(double) < n) return false;
     out->resize(n);
-    std::memcpy(out->data(), data_ + pos_, n * sizeof(double));
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(out->data(), data_ + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return true;
   }

@@ -8,16 +8,16 @@
 
 namespace ms {
 
-/// \brief max(0, x); caches the activation mask for backward.
+/// \brief max(0, x); a training forward caches the mask for backward.
 class ReLU : public Module {
  public:
   Tensor DoForward(const Tensor& x, bool training) override {
-    (void)training;
-    mask_.assign(static_cast<size_t>(x.size()), 0);
+    // Only backward reads the mask.
+    if (training) mask_.assign(static_cast<size_t>(x.size()), 0);
     Tensor y = x;
     for (int64_t i = 0; i < y.size(); ++i) {
       if (y[i] > 0.0f) {
-        mask_[static_cast<size_t>(i)] = 1;
+        if (training) mask_[static_cast<size_t>(i)] = 1;
       } else {
         y[i] = 0.0f;
       }
@@ -47,14 +47,14 @@ class ReLU : public Module {
   bool fused_ = false;
 };
 
-/// \brief tanh(x); backward uses 1 - tanh^2 from the cached output.
+/// \brief tanh(x); backward uses 1 - tanh^2 from the output a training
+/// forward cached.
 class Tanh : public Module {
  public:
   Tensor DoForward(const Tensor& x, bool training) override {
-    (void)training;
     Tensor y = x;
     for (int64_t i = 0; i < y.size(); ++i) y[i] = std::tanh(y[i]);
-    cached_y_ = y;
+    if (training) cached_y_ = y;  // only backward reads it
     return y;
   }
 

@@ -57,7 +57,8 @@ Tensor Dense::DoForward(const Tensor& x, bool training) {
   MS_CHECK(x.ndim() == 2);
   MS_CHECK_MSG(x.dim(1) == m, "Dense input width != active_in");
   const int64_t batch = x.dim(0);
-  cached_x_ = x;
+  // Only backward reads the input copy.
+  if (training) cached_x_ = x;
 
   // Bias always rides the GEMM's C-writeback; a planted activation only
   // at inference (training runs the activation module, which caches its

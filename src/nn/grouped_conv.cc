@@ -47,7 +47,8 @@ Tensor GroupedConv2d::DoForward(const Tensor& x, bool training) {
   const int64_t oh = (h + 2 * opts_.pad - k) / opts_.stride + 1;
   const int64_t ow = (w + 2 * opts_.pad - k) / opts_.stride + 1;
   MS_CHECK(oh >= 1 && ow >= 1);
-  cached_x_ = x;
+  // Only backward reads the input copy.
+  if (training) cached_x_ = x;
   cached_h_ = h;
   cached_w_ = w;
   last_oh_ = oh;

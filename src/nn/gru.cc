@@ -85,7 +85,8 @@ Tensor Gru::DoForward(const Tensor& x, bool training) {
   const int64_t m = active_in_;
   const int64_t n = active_hidden_;
 
-  cached_x_ = x;
+  // Only backward reads the input copy.
+  if (training) cached_x_ = x;
   cached_t_ = t_steps;
   cached_b_ = batch;
   const int64_t bn = batch * n;

@@ -82,7 +82,7 @@ class LatencyScheduler {
 /// ladder before work must stay queued. With an int8 cost column
 /// calibrated, "drop to int8 at the base rate" is that rung, so the queue
 /// drains up to t_fp32/t_int8 times faster before shedding. SliceServer
-/// cuts its batches and plans its activation arenas with it.
+/// cuts its batches with it.
 int64_t MaxBatchWithinBudget(const ServingConfig& config);
 
 struct ServingSummary {

@@ -11,7 +11,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/tensor/activation_planner.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
@@ -105,7 +104,6 @@ SliceServer::SliceServer(std::vector<std::unique_ptr<Module>> replicas,
                          ServerOptions opts)
     : opts_(std::move(opts)), replicas_(std::move(replicas)) {
   queue_ = std::make_unique<RequestQueue>(opts_.max_queue);
-  arenas_.resize(replicas_.size());
   for (int i = 0; i < static_cast<int>(replicas_.size()); ++i) {
     free_replicas_.push_back(i);
   }
@@ -132,9 +130,6 @@ SliceServer::~SliceServer() { Stop(); }
 
 Status SliceServer::Calibrate() {
   MS_TRACE_SCOPE("server_calibrate");
-  // Calibration runs on replica 0 inside its arena, so the timed forwards
-  // exercise the same allocation path serving will.
-  ActivationScope arena_scope(arenas_.front());
   Module* m = replicas_.front().get();
   m->SetSliceRate(opts_.serving.lattice.full_rate());
   std::vector<int64_t> shape = opts_.sample_shape;
@@ -214,7 +209,6 @@ void SliceServer::Prewarm() {
   Tensor x(shape);
   for (size_t ri = 0; ri < replicas_.size(); ++ri) {
     Module* replica = replicas_[ri].get();
-    ActivationScope arena_scope(arenas_[ri]);
     for (double rate : opts_.serving.lattice.rates()) {
       replica->SetSliceRate(rate);
       Tensor y = replica->Forward(x, /*training=*/false);
@@ -232,53 +226,6 @@ void SliceServer::Prewarm() {
     replica->SetSliceRate(opts_.serving.lattice.full_rate());
   }
   ops::PublishPackMetrics();
-}
-
-void SliceServer::PlanActivationArenas() {
-  MS_TRACE_SCOPE("server_plan_activations");
-  // Record one forward per (replica, trained rate), pack the lifetimes and
-  // Reserve() the packed footprint. Prewarm already materialized every
-  // weight pack and lazy layer cache, so the recording sees only true
-  // per-forward activation traffic.
-  //
-  // The plan batch must dominate every batch a tick can execute, or
-  // steady-state serving grows slabs the moment a bigger batch lands.
-  // TickOnce cuts at most MaxBatchWithinBudget requests, and the queue
-  // never holds more than max_queue, so min(bound, max_queue) is the exact
-  // worst case (floored at calibration_batch for unbudgeted configs where
-  // the bound degenerates to 0).
-  int64_t plan_batch =
-      MaxBatchWithinBudget(opts_.serving);
-  if (opts_.max_queue > 0) {
-    plan_batch = std::min(plan_batch, opts_.max_queue);
-  }
-  plan_batch =
-      std::max<int64_t>(std::max<int64_t>(1, opts_.calibration_batch),
-                        plan_batch);
-  std::vector<int64_t> shape = opts_.sample_shape;
-  shape.insert(shape.begin(), plan_batch);
-  auto& registry = obs::MetricsRegistry::Global();
-  for (size_t ri = 0; ri < replicas_.size(); ++ri) {
-    Module* replica = replicas_[ri].get();
-    for (double rate : opts_.serving.lattice.rates()) {
-      replica->SetSliceRate(rate);
-      ActivationPlan plan = PlanForward(&arenas_[ri], [&] {
-        Tensor x(shape);
-        Tensor y = replica->Forward(x, /*training=*/false);
-        output_guard_.store(y.data()[0], std::memory_order_relaxed);
-      });
-      if (ri == 0) {
-        planned_activation_bytes_[rate] = plan.packed_bytes;
-        registry
-            .GetGauge("ms_server_activation_plan_bytes_r" +
-                      std::to_string(static_cast<int>(rate * 100.0 + 0.5)))
-            ->Set(static_cast<double>(plan.packed_bytes));
-      }
-    }
-    replica->SetSliceRate(opts_.serving.lattice.full_rate());
-  }
-  registry.GetGauge("ms_server_activation_peak_bytes")
-      ->Set(static_cast<double>(arenas_.front().peak_live_bytes()));
 }
 
 Status SliceServer::Start() {
@@ -301,9 +248,6 @@ Status SliceServer::Start() {
     calibrated_t8_ = opts_.serving.full_sample_time_int8;
   }
   Prewarm();
-  // Lifetime-plan each (replica, rate) and pre-size the arenas, so the very
-  // first serving batch at any trained rate runs slab-alloc-free.
-  PlanActivationArenas();
   auto scheduler = LatencyScheduler::Make(opts_.serving);
   MS_RETURN_NOT_OK(scheduler.status());
   scheduler_ =
@@ -457,7 +401,6 @@ bool SliceServer::RepairReplica(int replica) {
   try {
     m->SetSliceRate(opts_.serving.lattice.full_rate());
     m->SetPrecision(Precision::kFp32);  // probe the canonical path
-    ActivationScope arena_scope(arenas_[static_cast<size_t>(replica)]);
     std::vector<int64_t> shape = opts_.sample_shape;
     shape.insert(shape.begin(), opts_.health.probe_batch);
     Tensor x(shape);
@@ -563,10 +506,6 @@ void SliceServer::RunAttempt(int64_t ticket_id, int my_attempt) {
     Module* m = replicas_[static_cast<size_t>(replica)].get();
     m->SetSliceRate(rate);
     m->SetPrecision(precision);
-    // The batch input, forward, and output all live on this replica's
-    // arena: in steady state (planned at Start) the whole attempt performs
-    // zero heap allocations for activations.
-    ActivationScope arena_scope(arenas_[static_cast<size_t>(replica)]);
     std::vector<int64_t> shape = opts_.sample_shape;
     shape.insert(shape.begin(), n);
     Tensor x(shape);

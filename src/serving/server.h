@@ -71,7 +71,6 @@
 
 #include "src/nn/module.h"
 #include "src/obs/metrics.h"
-#include "src/tensor/activation_arena.h"
 #include "src/serving/health.h"
 #include "src/serving/latency_scheduler.h"
 #include "src/serving/request_queue.h"
@@ -145,7 +144,7 @@ class SliceServer {
 
   /// Calibrates `t` (unless disabled), runs one forward per (replica,
   /// trained rate) so every weight pack exists before traffic arrives,
-  /// plans the activation arenas, and starts the batcher thread.
+  /// and starts the batcher thread.
   Status Start();
 
   /// Admission control; safe from any thread. `deadline_seconds` is
@@ -189,25 +188,6 @@ class SliceServer {
   /// True while the failure circuit breaker is rejecting admissions.
   bool breaker_open() const;
 
-  /// Activation memory accounting (src/tensor/activation_arena.h). Every
-  /// forward a replica runs — calibration, prewarm, serving, repair probe —
-  /// executes inside that replica's activation arena, so these numbers are
-  /// the replica's true activation footprint.
-  /// High-water mark of live activation bytes on replica `i`.
-  int64_t replica_peak_activation_bytes(int i) const {
-    return arenas_[static_cast<size_t>(i)].peak_live_bytes();
-  }
-  /// Slab bytes reserved by replica `i`'s arena (monotone).
-  int64_t replica_arena_slab_bytes(int i) const {
-    return arenas_[static_cast<size_t>(i)].slab_bytes();
-  }
-  /// Planned (packed) activation bytes per trained rate, from the lifetime
-  /// plans Start() runs after prewarm — the measured ~r^2-curve component.
-  /// Empty before Start().
-  const std::map<double, int64_t>& planned_activation_bytes() const {
-    return planned_activation_bytes_;
-  }
-
  private:
   using SteadyClock = std::chrono::steady_clock;
 
@@ -238,10 +218,6 @@ class SliceServer {
 
   Status Calibrate();
   void Prewarm();
-  /// Records one forward per (replica, trained rate) inside the replica's
-  /// arena, packs the lifetimes (activation_planner.h) and Reserve()s the
-  /// packed footprint, so steady-state serving never grows a slab.
-  void PlanActivationArenas();
   void BatcherLoop();
   void TickOnce();
   void RunWatchdog();
@@ -279,11 +255,6 @@ class SliceServer {
 
   ServerOptions opts_;
   std::vector<std::unique_ptr<Module>> replicas_;
-  /// One activation arena per replica; every forward on replica i runs
-  /// under ActivationScope(arenas_[i]).
-  std::vector<ActivationArena> arenas_;
-  /// rate -> packed activation bytes from PlanActivationArenas (replica 0).
-  std::map<double, int64_t> planned_activation_bytes_;
   std::vector<std::vector<ParamRef>> replica_params_;
   std::vector<Tensor> golden_;    ///< golden-master weights (from Start()).
   std::unique_ptr<RequestQueue> queue_;

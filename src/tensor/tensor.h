@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/tensor/activation_arena.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -25,13 +24,11 @@ namespace ms {
 /// broadcasting machinery. Layers slice by operating on index prefixes
 /// (contiguous groups), which maps directly onto row-major layout.
 ///
-/// Storage comes from the heap, or — when the calling thread is inside an
-/// ActivationScope — from the bound activation arena, so a warmed serving
-/// replica's forward pass performs zero heap allocations. A tensor carved
-/// from an arena holds a shared_ptr to the arena core: escaping the scope
-/// is safe, and the buffer is returned to the arena (from any thread) when
-/// the tensor dies or reallocates. Copy assignment reuses the existing
-/// buffer whenever the capacity suffices.
+/// Storage comes from the heap. Copy assignment reuses the existing buffer
+/// whenever the capacity suffices. Every buffer is counted in a
+/// process-wide live-byte total with a high-water mark (LiveBytes /
+/// PeakLiveBytes), which is how the activation footprint of one forward at
+/// a given slice rate is measured.
 class Tensor {
  public:
   Tensor() = default;
@@ -41,7 +38,7 @@ class Tensor {
     Allocate(NumElements(shape_));
     if (size_ > 0) {
       fill_events_.fetch_add(1, std::memory_order_relaxed);
-      std::fill(ptr_, ptr_ + size_, 0.0f);
+      std::fill(data(), data() + size_, 0.0f);
     }
   }
 
@@ -59,12 +56,9 @@ class Tensor {
 
   Tensor(Tensor&& other) noexcept
       : shape_(std::move(other.shape_)),
-        heap_(std::move(other.heap_)),
-        owner_(std::move(other.owner_)),
-        ptr_(other.ptr_),
+        data_(std::move(other.data_)),
         size_(other.size_),
         cap_(other.cap_) {
-    other.ptr_ = nullptr;
     other.size_ = 0;
     other.cap_ = 0;
     other.shape_.clear();
@@ -74,12 +68,9 @@ class Tensor {
     if (this != &other) {
       Release();
       shape_ = std::move(other.shape_);
-      heap_ = std::move(other.heap_);
-      owner_ = std::move(other.owner_);
-      ptr_ = other.ptr_;
+      data_ = std::move(other.data_);
       size_ = other.size_;
       cap_ = other.cap_;
-      other.ptr_ = nullptr;
       other.size_ = 0;
       other.cap_ = 0;
       other.shape_.clear();
@@ -101,7 +92,7 @@ class Tensor {
                            std::vector<float> values) {
     MS_CHECK(NumElements(shape) == static_cast<int64_t>(values.size()));
     Tensor t = Uninit(std::move(shape));
-    std::copy(values.begin(), values.end(), t.ptr_);
+    std::copy(values.begin(), values.end(), t.data());
     return t;
   }
 
@@ -119,7 +110,7 @@ class Tensor {
                       float stddev = 1.0f) {
     Tensor t = Uninit(std::move(shape));
     for (int64_t i = 0; i < t.size_; ++i) {
-      t.ptr_[i] = static_cast<float>(rng->Gaussian(0.0, stddev));
+      t.data_[i] = static_cast<float>(rng->Gaussian(0.0, stddev));
     }
     return t;
   }
@@ -128,7 +119,7 @@ class Tensor {
                             float hi) {
     Tensor t = Uninit(std::move(shape));
     for (int64_t i = 0; i < t.size_; ++i) {
-      t.ptr_[i] = static_cast<float>(rng->Uniform(lo, hi));
+      t.data_[i] = static_cast<float>(rng->Uniform(lo, hi));
     }
     return t;
   }
@@ -151,29 +142,29 @@ class Tensor {
   int64_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  float* data() { return ptr_; }
-  const float* data() const { return ptr_; }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
   float& at(int64_t i) {
     MS_CHECK(i >= 0 && i < size());
-    return ptr_[i];
+    return data_[i];
   }
   float at(int64_t i) const {
     MS_CHECK(i >= 0 && i < size());
-    return ptr_[i];
+    return data_[i];
   }
 
   /// Unchecked flat accessors for hot loops.
-  float& operator[](int64_t i) { return ptr_[i]; }
-  float operator[](int64_t i) const { return ptr_[i]; }
+  float& operator[](int64_t i) { return data_[i]; }
+  float operator[](int64_t i) const { return data_[i]; }
 
   /// 2-D accessor (row, col) for matrices.
-  float& at2(int64_t r, int64_t c) { return ptr_[r * shape_[1] + c]; }
-  float at2(int64_t r, int64_t c) const { return ptr_[r * shape_[1] + c]; }
+  float& at2(int64_t r, int64_t c) { return data_[r * shape_[1] + c]; }
+  float at2(int64_t r, int64_t c) const { return data_[r * shape_[1] + c]; }
 
   void Fill(float value) {
     if (size_ > 0) fill_events_.fetch_add(1, std::memory_order_relaxed);
-    std::fill(ptr_, ptr_ + size_, value);
+    std::fill(data(), data() + size_, value);
   }
   void Zero() { Fill(0.0f); }
 
@@ -226,19 +217,33 @@ class Tensor {
     return fill_events_.load(std::memory_order_relaxed);
   }
 
+  /// Process-wide bytes of tensor storage currently allocated, and its
+  /// high-water mark since the last ResetPeakLiveBytes(). The activation
+  /// footprint of one forward is PeakLiveBytes() after a reset, minus the
+  /// LiveBytes() before the call. Relaxed counters: exact when one thread
+  /// allocates, a close approximation when several do.
+  static int64_t LiveBytes() {
+    return live_bytes_.load(std::memory_order_relaxed);
+  }
+  static int64_t PeakLiveBytes() {
+    return peak_live_bytes_.load(std::memory_order_relaxed);
+  }
+  static void ResetPeakLiveBytes() {
+    peak_live_bytes_.store(LiveBytes(), std::memory_order_relaxed);
+  }
+
  private:
-  /// Binds fresh storage of `n` floats: from the thread's bound activation
-  /// arena when one is in scope, else the heap. Contents unspecified.
+  /// Binds fresh heap storage of `n` floats. Contents unspecified.
   void Allocate(int64_t n) {
     if (n > 0) {
-      const std::shared_ptr<ArenaCore>& arena = CurrentActivationArena();
-      if (arena != nullptr) {
-        owner_ = arena;
-        ptr_ = owner_->Alloc(n);
-      } else {
-        heap_ =
-            std::make_unique_for_overwrite<float[]>(static_cast<size_t>(n));
-        ptr_ = heap_.get();
+      data_ = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(n));
+      const int64_t live =
+          live_bytes_.fetch_add(Bytes(n), std::memory_order_relaxed) +
+          Bytes(n);
+      int64_t peak = peak_live_bytes_.load(std::memory_order_relaxed);
+      while (live > peak &&
+             !peak_live_bytes_.compare_exchange_weak(
+                 peak, live, std::memory_order_relaxed)) {
       }
     }
     size_ = n;
@@ -246,12 +251,10 @@ class Tensor {
   }
 
   void Release() {
-    if (owner_ != nullptr) {
-      owner_->Free(ptr_);
-      owner_.reset();
+    if (data_ != nullptr) {
+      live_bytes_.fetch_sub(Bytes(cap_), std::memory_order_relaxed);
     }
-    heap_.reset();
-    ptr_ = nullptr;
+    data_.reset();
     size_ = 0;
     cap_ = 0;
   }
@@ -264,15 +267,19 @@ class Tensor {
       size_ = other.size_;
     }
     shape_ = other.shape_;
-    if (size_ > 0) std::copy(other.ptr_, other.ptr_ + size_, ptr_);
+    if (size_ > 0) std::copy(other.data(), other.data() + size_, data());
+  }
+
+  static int64_t Bytes(int64_t floats) {
+    return floats * static_cast<int64_t>(sizeof(float));
   }
 
   static inline std::atomic<uint64_t> fill_events_{0};
+  static inline std::atomic<int64_t> live_bytes_{0};
+  static inline std::atomic<int64_t> peak_live_bytes_{0};
 
   std::vector<int64_t> shape_;
-  std::unique_ptr<float[]> heap_;       // heap-owned storage (may be null)
-  std::shared_ptr<ArenaCore> owner_;    // arena-owned storage (may be null)
-  float* ptr_ = nullptr;
+  std::unique_ptr<float[]> data_;  // null when empty
   int64_t size_ = 0;
   int64_t cap_ = 0;
 };

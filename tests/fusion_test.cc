@@ -1,5 +1,5 @@
 // Oracle suite for fused GEMM epilogues (src/tensor/epilogue.h) and the
-// activation lifetime planner (src/tensor/activation_planner.h).
+// activation footprint of inference forwards.
 //
 // The contract under test:
 //   * Every GEMM entry point (Gemm, GemmPrepackedB, GemmPrepackedA,
@@ -9,11 +9,8 @@
 //     (bias per-row/per-col, scale-shift, each activation), transpose
 //     combination, slice prefix, and thread count. GemmRef with an
 //     epilogue is the independent oracle for Gemm.
-//   * PlanActivations never aliases overlapping lifetimes, reuses bytes
-//     for disjoint ones, and packed_bytes >= peak_live_bytes always.
-//   * With an arena bound (and planned), model forwards are bitwise equal
-//     to heap runs, steady-state repeats allocate zero slabs, and
-//     gradient checks stay green.
+//   * An inference forward leaves no tensor live once its output is gone,
+//     and a vgg13 forward's activation peak rises with the slice rate.
 //   * Whole zoo models run bitwise identically to a parameter-copied twin
 //     whose fusion marks were cleared, at several slice rates, both
 //     precisions, and in training as well as inference forwards.
@@ -34,6 +31,7 @@
 #include "gtest/gtest.h"
 #include "src/models/cnn.h"
 #include "src/models/mlp.h"
+#include "src/models/zoo.h"
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
@@ -47,8 +45,6 @@
 #include "src/nn/residual.h"
 #include "src/nn/serialize.h"
 #include "src/nn/slice_spec.h"
-#include "src/tensor/activation_arena.h"
-#include "src/tensor/activation_planner.h"
 #include "src/tensor/epilogue.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/prepack.h"
@@ -56,7 +52,6 @@
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
-#include "tests/gradcheck_util.h"
 
 namespace ms {
 namespace {
@@ -329,142 +324,89 @@ TEST(FusedGemm, QuantizedWeightAMatchesUnfusedPlusPostPass) {
 }
 
 // ---------------------------------------------------------------------------
-// Activation planner: packing invariants.
+// Activation footprint (Tensor::LiveBytes / PeakLiveBytes).
 // ---------------------------------------------------------------------------
 
-ArenaEvent Ev(int64_t id, int64_t floats, int64_t alloc, int64_t free) {
-  ArenaEvent e;
-  e.id = id;
-  e.floats = floats;
-  e.alloc_tick = alloc;
-  e.free_tick = free;
-  return e;
-}
-
-bool TimesOverlap(const ActivationInterval& a, const ActivationInterval& b) {
-  return a.start < b.end && b.start < a.end;
-}
-
-bool BytesOverlap(const ActivationInterval& a, const ActivationInterval& b) {
-  return a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes;
-}
-
-TEST(ActivationPlanner, OverlappingLifetimesNeverAlias) {
-  std::vector<ArenaEvent> events = {
-      Ev(0, 256, 0, 4), Ev(1, 256, 1, 5), Ev(2, 512, 2, 3),
-      Ev(3, 128, 4, 8), Ev(4, 256, 6, -1),
-  };
-  ActivationPlan plan = PlanActivations(events);
-  ASSERT_EQ(plan.intervals.size(), events.size());
-  for (size_t i = 0; i < plan.intervals.size(); ++i) {
-    for (size_t j = i + 1; j < plan.intervals.size(); ++j) {
-      if (TimesOverlap(plan.intervals[i], plan.intervals[j])) {
-        EXPECT_FALSE(BytesOverlap(plan.intervals[i], plan.intervals[j]))
-            << "intervals " << plan.intervals[i].id << " and "
-            << plan.intervals[j].id << " overlap in time AND bytes";
-      }
-    }
+// An inference forward keeps no backward state: once its output is gone,
+// no tensor it allocated is still live.
+void ExpectInferenceLeavesNothingLive(Module* layer, const Tensor& x,
+                                      const std::string& what) {
+  const int64_t before = Tensor::LiveBytes();
+  {
+    Tensor y = layer->Forward(x, /*training=*/false);
+    ASSERT_GT(y.size(), 0) << what;
   }
-  EXPECT_GE(plan.packed_bytes, plan.peak_live_bytes);
-  EXPECT_LE(plan.packed_bytes, plan.total_alloc_bytes);
+  EXPECT_EQ(Tensor::LiveBytes(), before)
+      << what << ": the inference forward left a tensor behind";
 }
 
-TEST(ActivationPlanner, DisjointLifetimesReuseExactly) {
-  // A strict chain: each buffer dies before the next is born. A perfect
-  // packing places all five at offset 0; the footprint is one buffer.
-  std::vector<ArenaEvent> events;
-  for (int64_t i = 0; i < 5; ++i) {
-    events.push_back(Ev(i, 1024, 2 * i, 2 * i + 1));
-  }
-  ActivationPlan plan = PlanActivations(events);
-  EXPECT_EQ(plan.packed_bytes, 1024 * static_cast<int64_t>(sizeof(float)));
-  EXPECT_EQ(plan.packed_bytes, plan.peak_live_bytes);
-  EXPECT_EQ(plan.total_alloc_bytes, 5 * 1024 *
-                                        static_cast<int64_t>(sizeof(float)));
-  for (const ActivationInterval& iv : plan.intervals) {
-    EXPECT_EQ(iv.offset, 0);
-  }
-}
-
-TEST(ActivationPlanner, PackedNeverBelowPeakLiveOnRandomInstances) {
-  Rng rng(406);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<ArenaEvent> events;
-    const int n = 3 + static_cast<int>(rng.UniformInt(12));
-    int64_t tick = 0;
-    for (int64_t i = 0; i < n; ++i) {
-      const int64_t alloc = tick++;
-      const int64_t free =
-          rng.Bernoulli(0.15) ? -1 : alloc + 1 + static_cast<int64_t>(
-                                                     rng.UniformInt(6));
-      events.push_back(
-          Ev(i, 16 * (1 + static_cast<int64_t>(rng.UniformInt(64))), alloc,
-             free));
-      tick = std::max(tick, alloc + 1);
-    }
-    ActivationPlan plan = PlanActivations(events);
-    EXPECT_GE(plan.packed_bytes, plan.peak_live_bytes);
-    for (size_t i = 0; i < plan.intervals.size(); ++i) {
-      for (size_t j = i + 1; j < plan.intervals.size(); ++j) {
-        if (TimesOverlap(plan.intervals[i], plan.intervals[j])) {
-          EXPECT_FALSE(BytesOverlap(plan.intervals[i], plan.intervals[j]));
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Arena-backed forwards: bitwise equality, zero steady-state slabs,
-// gradients stay green.
-// ---------------------------------------------------------------------------
-
-TEST(ActivationPlanner, PlannedForwardIsBitwiseEqualAndSlabFree) {
-  MlpConfig cfg;
-  cfg.in_features = 24;
-  cfg.hidden = {32, 32};
-  cfg.num_classes = 10;
-  cfg.group_norm = true;
-  auto net = MakeMlp(cfg).MoveValueOrDie();
+TEST(ActivationFootprint, InferenceForwardKeepsNoBackwardState) {
+  GlobalStateGuard guard;
+  ops::SetComputeThreads(1);
   Rng rng(407);
-  Tensor x = Tensor::Randn({4, cfg.in_features}, &rng);
-
-  // Heap reference (warm caches first so both runs hit steady state).
-  Tensor y_heap = net->Forward(x, /*training=*/false);
-  y_heap = net->Forward(x, /*training=*/false);
-
-  ActivationArena arena;
-  ActivationPlan plan = PlanForward(&arena, [&] {
-    Tensor y = net->Forward(x, /*training=*/false);
-    ASSERT_GT(y.size(), 0);
-  });
-  EXPECT_GT(plan.packed_bytes, 0);
-  EXPECT_GE(plan.packed_bytes, plan.peak_live_bytes);
-
-  const uint64_t slabs_before = ArenaCore::TotalSlabAllocs();
-  Tensor y_arena;
-  for (int iter = 0; iter < 3; ++iter) {
-    ActivationScope scope(arena);
-    y_arena = net->Forward(x, /*training=*/false);
+  {
+    DenseOptions opts;
+    opts.in_features = 24;
+    opts.out_features = 16;
+    opts.groups = 4;
+    opts.bias = true;
+    Dense layer(opts, &rng);
+    ExpectInferenceLeavesNothingLive(
+        &layer, Tensor::Randn({4, 24}, &rng), "Dense");
   }
-  EXPECT_EQ(ArenaCore::TotalSlabAllocs(), slabs_before)
-      << "steady-state planned forwards must not grow slabs";
-  ExpectBitwise(y_arena, y_heap, "arena forward vs heap forward");
+  {
+    GroupedConv2dOptions opts;
+    opts.in_channels = 8;
+    opts.out_channels = 8;
+    opts.groups = 4;
+    GroupedConv2d layer(opts, &rng);
+    ExpectInferenceLeavesNothingLive(
+        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "GroupedConv2d");
+  }
+  {
+    DepthwiseConv2dOptions opts;
+    opts.channels = 8;
+    opts.groups = 4;
+    DepthwiseConv2d layer(opts, &rng);
+    ExpectInferenceLeavesNothingLive(
+        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "DepthwiseConv2d");
+  }
+  {
+    ReLU layer;
+    ExpectInferenceLeavesNothingLive(
+        &layer, Tensor::Randn({4, 32}, &rng), "ReLU");
+  }
+  {
+    Tanh layer;
+    ExpectInferenceLeavesNothingLive(
+        &layer, Tensor::Randn({4, 32}, &rng), "Tanh");
+  }
 }
 
-TEST(ActivationPlanner, GradcheckGreenUnderArena) {
+// The paper's footprint claim, activation side: one vgg13 batch-1 forward
+// peaks higher the wider the slice.
+TEST(ActivationFootprint, Vgg13PeakRisesWithSliceRate) {
+  GlobalStateGuard guard;
+  ops::SetComputeThreads(1);
+  const ZooEntry entry = GetZooModel("vgg13").MoveValueOrDie();
+  auto net = MakeVggSmall(entry.config).MoveValueOrDie();
+  const auto dopts = ZooDatasetOptions(entry.dataset);
   Rng rng(408);
-  DenseOptions opts;
-  opts.in_features = 12;
-  opts.out_features = 8;
-  opts.groups = 4;
-  opts.bias = true;
-  Dense layer(opts, &rng);
-  layer.SetSliceRate(0.5);
-  Tensor x = Tensor::Randn({3, layer.active_in()}, &rng);
-  ActivationArena arena;
-  ActivationScope scope(arena);
-  testing_util::CheckModuleGradients(&layer, x, 409);
+  const Tensor x =
+      Tensor::Randn({1, dopts.channels, dopts.height, dopts.width}, &rng);
+  int64_t prev_peak = 0;
+  for (const double r : {0.25, 0.5, 1.0}) {
+    net->SetSliceRate(r);
+    // Warm lazy caches first so the measured forward sees only activations.
+    net->Forward(x, /*training=*/false);
+    const int64_t before = Tensor::LiveBytes();
+    Tensor::ResetPeakLiveBytes();
+    net->Forward(x, /*training=*/false);
+    const int64_t peak = Tensor::PeakLiveBytes() - before;
+    EXPECT_EQ(Tensor::LiveBytes(), before) << "r=" << r;
+    EXPECT_GT(peak, prev_peak) << "r=" << r;
+    prev_peak = peak;
+  }
 }
 
 // ---------------------------------------------------------------------------
