@@ -20,10 +20,15 @@ std::unique_ptr<Sequential> SharedVgg() {
   return MakeVggSmall(cfg).MoveValueOrDie();
 }
 
+// Args: rate in percent, then precision (0 fp32, 1 int8) — the per-rate
+// int8/fp32 comparison of the second elastic axis.
 void BM_VggForwardAtRate(benchmark::State& state) {
   static std::unique_ptr<Sequential> net = SharedVgg();
   const double rate = static_cast<double>(state.range(0)) / 100.0;
+  const Precision precision =
+      state.range(1) != 0 ? Precision::kInt8 : Precision::kFp32;
   net->SetSliceRate(rate);
+  net->SetPrecision(precision);
   Rng rng(1);
   const int64_t active_in = 3;
   Tensor x = Tensor::Randn({8, active_in, 12, 12}, &rng);
@@ -34,8 +39,11 @@ void BM_VggForwardAtRate(benchmark::State& state) {
   state.counters["analytic_MFLOPs"] =
       static_cast<double>(net->FlopsPerSample()) / 1e6;
   state.counters["rate"] = rate;
+  state.SetLabel(PrecisionName(precision));
 }
-BENCHMARK(BM_VggForwardAtRate)->Arg(25)->Arg(50)->Arg(75)->Arg(100);
+BENCHMARK(BM_VggForwardAtRate)
+    ->ArgsProduct({{25, 50, 75, 100}, {0, 1}})
+    ->ArgNames({"rate", "int8"});
 
 void BM_MlpForwardAtRate(benchmark::State& state) {
   MlpConfig cfg;

@@ -30,6 +30,7 @@
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
 #include "src/nn/serialize.h"
+#include "src/tensor/cols_view.h"
 #include "src/tensor/epilogue.h"
 #include "src/tensor/gemm.h"
 #include "src/tensor/prepack.h"
@@ -475,6 +476,54 @@ int Main() {
         row.int8_us = 1e6 * TimeCall(min_s, [&] {
           ops::GemmQuantizedWeightA(mr, npix, kr, qpack, b.data(), npix,
                                     0.0f, c.data(), npix);
+        });
+        int8_rows.push_back(row);
+      }
+    }
+  }
+
+  // The convs slice-sweep runs: vgg13's 3x3 pad-1 layers read through the
+  // conv view (cols_view.h) from one image's padded planes, as
+  // Conv2d::DoForward calls them — C_out = C_in = 16 on 12x12 (stage 0)
+  // and 64 on 3x3 (stage 2), 8 slice groups. Not serving rows: they report
+  // the small-C_out shapes without moving the gate.
+  {
+    struct VggConv {
+      int64_t channels, hw;
+    };
+    for (const VggConv vc : {VggConv{16, 12}, VggConv{64, 3}}) {
+      const int64_t ch = vc.channels, k = ch * 9, groups = 8;
+      Tensor w = Tensor::Randn({ch, k}, &rng);
+      ops::PackedMatrix wpa;
+      ops::PackA(/*trans_a=*/false, ch, k, w.data(), k, &wpa);
+      std::vector<int64_t> ends;
+      for (int64_t g = 1; g <= groups; ++g) ends.push_back(g * k / groups);
+      ops::QuantizedPack qpack;
+      ops::EnsureQuantizedB(true, k, ch, w.data(), k, ends, &qpack);
+      for (const double r : rates) {
+        const int64_t cr = static_cast<int64_t>(ch * r);
+        const ops::ConvPlanes planes(cr, vc.hw, vc.hw, 3, 1, 1);
+        Tensor x = Tensor::Randn({cr, vc.hw, vc.hw}, &rng);
+        std::vector<float> buf(static_cast<size_t>(planes.floats()), 0.0f);
+        planes.Fill(x.data(), buf.data());
+        std::vector<int64_t> off(static_cast<size_t>(planes.taps()));
+        planes.TapOffsets(off.data());
+        const ops::ColsView view = planes.View(buf.data(), off.data());
+        const int64_t npix = view.cols();
+        Tensor c({cr, npix});
+        Int8Row row;
+        char label[48];
+        std::snprintf(label, sizeof(label), "vggconv%d-%dx%d-r%.2f",
+                      static_cast<int>(ch), static_cast<int>(vc.hw),
+                      static_cast<int>(vc.hw), r);
+        row.label = label;
+        row.fp32_us = 1e6 * TimeCall(min_s, [&] {
+          ops::GemmPrepackedA(cr, planes.taps(), wpa, view, 0.0f, c.data(),
+                              npix);
+        });
+        row.int8_us = 1e6 * TimeCall(min_s, [&] {
+          ops::GemmQuantizedWeightA(cr, planes.taps(), qpack, view, 0.0f,
+                                    c.data(), npix);
         });
         int8_rows.push_back(row);
       }

@@ -139,11 +139,16 @@ class Sequential : public Module {
 
  protected:
   Tensor DoForward(const Tensor& x, bool training) override {
-    Tensor h = x;
+    // The first child reads x itself; Tensor's copy is deep, so only a
+    // Sequential in which no child runs pays for one.
+    const Tensor* in = &x;
+    Tensor h;
     for (auto& child : children_) {
       if (!training && child->BypassedAtInference()) continue;
-      h = child->Forward(h, training);
+      h = child->Forward(*in, training);
+      in = &h;
     }
+    if (in == &x) return x;
     return h;
   }
 

@@ -8,7 +8,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "src/tensor/scratch.h"
 
 // The VNNI int8 kernel needs the avx512vnni+avx512vl target attribute and
 // _mm256_dpbusd_epi32; both landed in gcc 9 / clang 9. Older compilers
@@ -402,51 +405,21 @@ void EncodeU7Avx2(const float* v, int64_t n, float lo, float inv,
   }
 }
 
-// 8 columns -> 8 contiguous rows via in-register 8x8 transposes, where
-// load(p) yields the 8 column values of source row p; the k % 8 tail rows
-// go element-wise. When kMinMax is set, a per-column min/max scan rides
-// the same loads (lane j of the running accumulators tracks column j),
-// letting the quantizer skip its separate sweep over the scratch rows;
-// lo8/hi8 then receive 8 results each and k must be >= 1. Seeded from
-// row 0 and folded with vminps/vmaxps — value-equal to the scalar
-// seed-then-compare loop up to the +-0 tie caveat on MinMaxF32Fn.
-template <bool kMinMax, class Load>
-void Transpose8ColImpl(const Load& load, int64_t k, float* dst,
-                       int64_t dst_stride, float* lo8, float* hi8) {
-  __m256 vlo = _mm256_setzero_ps();
-  __m256 vhi = _mm256_setzero_ps();
-  if (kMinMax) {
-    vlo = load(0);
-    vhi = vlo;
-  }
+// 8 columns -> 8 contiguous rows via in-register 8x8 transposes; the
+// k % 8 tail rows go element-wise.
+void Transpose8ColAvx2(const float* src, int64_t ld, int64_t k, float* dst,
+                       int64_t dst_stride) {
   int64_t p = 0;
   for (; p + 8 <= k; p += 8) {
-    __m256 r0 = load(p + 0);
-    __m256 r1 = load(p + 1);
-    __m256 r2 = load(p + 2);
-    __m256 r3 = load(p + 3);
-    __m256 r4 = load(p + 4);
-    __m256 r5 = load(p + 5);
-    __m256 r6 = load(p + 6);
-    __m256 r7 = load(p + 7);
-    if (kMinMax) {
-      vlo = _mm256_min_ps(vlo, r0);
-      vhi = _mm256_max_ps(vhi, r0);
-      vlo = _mm256_min_ps(vlo, r1);
-      vhi = _mm256_max_ps(vhi, r1);
-      vlo = _mm256_min_ps(vlo, r2);
-      vhi = _mm256_max_ps(vhi, r2);
-      vlo = _mm256_min_ps(vlo, r3);
-      vhi = _mm256_max_ps(vhi, r3);
-      vlo = _mm256_min_ps(vlo, r4);
-      vhi = _mm256_max_ps(vhi, r4);
-      vlo = _mm256_min_ps(vlo, r5);
-      vhi = _mm256_max_ps(vhi, r5);
-      vlo = _mm256_min_ps(vlo, r6);
-      vhi = _mm256_max_ps(vhi, r6);
-      vlo = _mm256_min_ps(vlo, r7);
-      vhi = _mm256_max_ps(vhi, r7);
-    }
+    const float* s = src + p * ld;
+    const __m256 r0 = _mm256_loadu_ps(s);
+    const __m256 r1 = _mm256_loadu_ps(s + ld);
+    const __m256 r2 = _mm256_loadu_ps(s + 2 * ld);
+    const __m256 r3 = _mm256_loadu_ps(s + 3 * ld);
+    const __m256 r4 = _mm256_loadu_ps(s + 4 * ld);
+    const __m256 r5 = _mm256_loadu_ps(s + 5 * ld);
+    const __m256 r6 = _mm256_loadu_ps(s + 6 * ld);
+    const __m256 r7 = _mm256_loadu_ps(s + 7 * ld);
     __m256 t0 = _mm256_unpacklo_ps(r0, r1);
     __m256 t1 = _mm256_unpackhi_ps(r0, r1);
     __m256 t2 = _mm256_unpacklo_ps(r2, r3);
@@ -481,42 +454,216 @@ void Transpose8ColImpl(const Load& load, int64_t k, float* dst,
                      _mm256_permute2f128_ps(s3, s7, 0x31));
   }
   for (; p < k; ++p) {
-    const __m256 v = load(p);
-    if (kMinMax) {
-      vlo = _mm256_min_ps(vlo, v);
-      vhi = _mm256_max_ps(vhi, v);
+    for (int j = 0; j < 8; ++j) dst[j * dst_stride + p] = src[p * ld + j];
+  }
+}
+
+// Column quantizer, pass 1: lo and scale of the 8 wide-grid columns of
+// each block starting at starts[b], B <= 4 blocks at a time so that B
+// independent min/max chains hide the vminps/vmaxps latency (named
+// accumulators, as in Int8Chunk16, so they stay in registers). Seeded from
+// row 0 and folded as min(lo, v) / max(hi, v), the operand order
+// U7Columns documents.
+template <int B>
+void ColumnMinMax(const float* const* rows, int64_t k, const int64_t* starts,
+                  float* lo, float* scale) {
+  const auto at = [&](const float* r, int j) {
+    return _mm256_loadu_ps(r + starts[j]);
+  };
+  __m256 lo0 = at(rows[0], 0), hi0 = lo0;
+  __m256 lo1 = lo0, hi1 = lo0, lo2 = lo0, hi2 = lo0, lo3 = lo0, hi3 = lo0;
+  if (B > 1) hi1 = lo1 = at(rows[0], 1);
+  if (B > 2) hi2 = lo2 = at(rows[0], 2);
+  if (B > 3) hi3 = lo3 = at(rows[0], 3);
+  for (int64_t p = 1; p < k; ++p) {
+    const float* r = rows[p];
+    const __m256 x0 = at(r, 0);
+    lo0 = _mm256_min_ps(lo0, x0);
+    hi0 = _mm256_max_ps(hi0, x0);
+    if (B > 1) {
+      const __m256 x1 = at(r, 1);
+      lo1 = _mm256_min_ps(lo1, x1);
+      hi1 = _mm256_max_ps(hi1, x1);
     }
-    alignas(32) float lane[8];
-    _mm256_store_ps(lane, v);
-    for (int j = 0; j < 8; ++j) dst[j * dst_stride + p] = lane[j];
+    if (B > 2) {
+      const __m256 x2 = at(r, 2);
+      lo2 = _mm256_min_ps(lo2, x2);
+      hi2 = _mm256_max_ps(hi2, x2);
+    }
+    if (B > 3) {
+      const __m256 x3 = at(r, 3);
+      lo3 = _mm256_min_ps(lo3, x3);
+      hi3 = _mm256_max_ps(hi3, x3);
+    }
   }
-  if (kMinMax) {
-    _mm256_storeu_ps(lo8, vlo);
-    _mm256_storeu_ps(hi8, vhi);
-  }
+  const __m256 v127 = _mm256_set1_ps(127.0f);
+  const auto put = [&](int j, __m256 l, __m256 h) {
+    _mm256_storeu_ps(lo + 8 * j, l);
+    _mm256_storeu_ps(scale + 8 * j, _mm256_div_ps(_mm256_sub_ps(h, l), v127));
+  };
+  put(0, lo0, hi0);
+  if (B > 1) put(1, lo1, hi1);
+  if (B > 2) put(2, lo2, hi2);
+  if (B > 3) put(3, lo3, hi3);
 }
 
-void Transpose8ColAvx2(const float* src, int64_t ld, int64_t k, float* dst,
-                       int64_t dst_stride) {
-  Transpose8ColImpl<false>(
-      [&](int64_t p) { return _mm256_loadu_ps(src + p * ld); }, k, dst,
-      dst_stride, nullptr, nullptr);
+// Codes of rows[0..n) (n in 1..4) for the 8 columns at s, one dword per
+// column holding its 4 codes in row order: the u8 quad the int8 kernel
+// broadcasts. Missing rows give code 0. The two saturating packs and the
+// unsigned min clamp each lane to [0, 127] (vcvtps2dq's out-of-range
+// value 0x80000000 lands on 0, as lrintf's does in the scalar flavor);
+// the byte shuffle turns the packs' row-major bytes into column dwords.
+inline __m256i EncodeQuadU7(const float* const* rows, int n, int64_t s,
+                            __m256 vlo, __m256 vinv) {
+  const auto enc = [&](int u) {
+    if (u >= n) return _mm256_setzero_si256();
+    return _mm256_cvtps_epi32(
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(rows[u] + s), vlo), vinv));
+  };
+  const __m256i bytes = _mm256_packus_epi16(_mm256_packs_epi32(enc(0), enc(1)),
+                                            _mm256_packs_epi32(enc(2), enc(3)));
+  const __m256i by_column = _mm256_setr_epi8(
+      0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+      0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
+  return _mm256_shuffle_epi8(
+      _mm256_min_epu8(bytes, _mm256_set1_epi8(127)), by_column);
 }
 
-void Transpose8ColMinMaxAvx2(const ColsView& b, int64_t q,
-                             const int32_t* lanes, int64_t k, float* dst,
-                             int64_t dst_stride, float* lo8, float* hi8) {
-  if (lanes == nullptr) {
-    Transpose8ColImpl<true>(
-        [&](int64_t p) { return _mm256_loadu_ps(b.row(p) + q); }, k, dst,
-        dst_stride, lo8, hi8);
+// In-register 8x8 transpose of dwords: lane j of d_u -> lane u of d_j.
+inline void Transpose8x8Epi32(__m256i& d0, __m256i& d1, __m256i& d2,
+                              __m256i& d3, __m256i& d4, __m256i& d5,
+                              __m256i& d6, __m256i& d7) {
+  const __m256i t0 = _mm256_unpacklo_epi32(d0, d1);
+  const __m256i t1 = _mm256_unpackhi_epi32(d0, d1);
+  const __m256i t2 = _mm256_unpacklo_epi32(d2, d3);
+  const __m256i t3 = _mm256_unpackhi_epi32(d2, d3);
+  const __m256i t4 = _mm256_unpacklo_epi32(d4, d5);
+  const __m256i t5 = _mm256_unpackhi_epi32(d4, d5);
+  const __m256i t6 = _mm256_unpacklo_epi32(d6, d7);
+  const __m256i t7 = _mm256_unpackhi_epi32(d6, d7);
+  const __m256i s0 = _mm256_unpacklo_epi64(t0, t2);
+  const __m256i s1 = _mm256_unpackhi_epi64(t0, t2);
+  const __m256i s2 = _mm256_unpacklo_epi64(t1, t3);
+  const __m256i s3 = _mm256_unpackhi_epi64(t1, t3);
+  const __m256i s4 = _mm256_unpacklo_epi64(t4, t6);
+  const __m256i s5 = _mm256_unpackhi_epi64(t4, t6);
+  const __m256i s6 = _mm256_unpacklo_epi64(t5, t7);
+  const __m256i s7 = _mm256_unpackhi_epi64(t5, t7);
+  d0 = _mm256_permute2x128_si256(s0, s4, 0x20);
+  d1 = _mm256_permute2x128_si256(s1, s5, 0x20);
+  d2 = _mm256_permute2x128_si256(s2, s6, 0x20);
+  d3 = _mm256_permute2x128_si256(s3, s7, 0x20);
+  d4 = _mm256_permute2x128_si256(s0, s4, 0x31);
+  d5 = _mm256_permute2x128_si256(s1, s5, 0x31);
+  d6 = _mm256_permute2x128_si256(s2, s6, 0x31);
+  d7 = _mm256_permute2x128_si256(s3, s7, 0x31);
+}
+
+// The vector column quantizer. Pixels [i0, i1) span the wide-grid columns
+// [q0, q1); block b covers the 8 columns from q0 + 8b, except that the
+// last block slides back to end at wide_cols() so no load leaves a row.
+// Every lane is computed; only lanes that are pixels of this range (not
+// the junk columns between output rows, not another range's pixels) are
+// stored.
+void QuantizeColumnsU7Avx2(const U7Columns& job, int64_t i0, int64_t i1) {
+  const ColsView& b = job.b;
+  const int64_t wc = b.wide_cols();
+  if (wc < 8 || i0 >= i1) {
+    QuantizeColumnsU7(job, i0, i1);
     return;
   }
-  const __m256i idx =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
-  Transpose8ColImpl<true>(
-      [&](int64_t p) { return _mm256_i32gather_ps(b.row(p) + q, idx, 4); }, k,
-      dst, dst_stride, lo8, hi8);
+  const auto wide = [&](int64_t i) {
+    const int64_t oi = i / b.out_w;
+    return oi * b.pitch + (i - oi * b.out_w);
+  };
+  const int64_t q0 = wide(i0), q1 = wide(i1 - 1) + 1;
+  const int64_t blocks = CeilDiv(q1 - q0, 8);
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(arena);
+  float* lo = arena.Alloc(8 * blocks);
+  float* scale = arena.Alloc(8 * blocks);
+  // Pointer-sized slots: two floats each.
+  const float** rows = reinterpret_cast<const float**>(arena.Alloc(2 * job.k));
+  int64_t* starts = reinterpret_cast<int64_t*>(arena.Alloc(2 * blocks));
+  for (int64_t p = 0; p < job.k; ++p) rows[p] = b.row(p);
+  for (int64_t blk = 0; blk < blocks; ++blk) {
+    starts[blk] = std::min(q0 + 8 * blk, wc - 8);
+  }
+  int64_t blk = 0;
+  for (; blk + 4 <= blocks; blk += 4) {
+    ColumnMinMax<4>(rows, job.k, starts + blk, lo + 8 * blk, scale + 8 * blk);
+  }
+  for (; blk < blocks; ++blk) {
+    ColumnMinMax<1>(rows, job.k, starts + blk, lo + 8 * blk, scale + 8 * blk);
+  }
+
+  const int32_t* const quad_first = job.quad_first;
+  const int32_t* const quad_rows = job.quad_rows;
+  const int64_t quads = job.quads;
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256i tail_mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(quads % 8)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  for (blk = 0; blk < blocks; ++blk) {
+    const int64_t s = starts[blk];
+    // Lane j is column s + j; it is stored when it falls in this block's
+    // own share [q0 + 8*blk, q1) and is a pixel, not a junk column.
+    const int64_t own = q0 + 8 * blk, end = std::min(own + 8, q1);
+    uint8_t* dst[8];
+    int64_t oi = s / b.pitch, oj = s - oi * b.pitch;
+    for (int j = 0; j < 8; ++j, ++oj) {
+      if (oj == b.pitch) {
+        ++oi;
+        oj = 0;
+      }
+      const int64_t q = s + j;
+      if (q < own || q >= end || oj >= b.out_w) {
+        dst[j] = nullptr;
+        continue;
+      }
+      const int64_t i = oi * b.out_w + oj;
+      job.aeff[i] = job.alpha * scale[8 * blk + j];
+      job.amineff[i] = job.alpha * lo[8 * blk + j];
+      dst[j] = job.codes + i * job.row_bytes;
+    }
+    const __m256 vlo = _mm256_loadu_ps(lo + 8 * blk);
+    const __m256 vscale = _mm256_loadu_ps(scale + 8 * blk);
+    const __m256 vinv =
+        _mm256_and_ps(_mm256_cmp_ps(vscale, zero, _CMP_GT_OQ),
+                      _mm256_div_ps(one, vscale));
+    // Quads past the end encode as 0 and, in the last batch of a row that
+    // is not a whole number of batches, are masked out of the store.
+    const auto enc = [&](int64_t t) {
+      return t < quads ? EncodeQuadU7(rows + quad_first[t], quad_rows[t], s,
+                                      vlo, vinv)
+                       : _mm256_setzero_si256();
+    };
+    for (int64_t t0 = 0; t0 < quads; t0 += 8) {
+      __m256i d0 = enc(t0), d1 = enc(t0 + 1), d2 = enc(t0 + 2);
+      __m256i d3 = enc(t0 + 3), d4 = enc(t0 + 4), d5 = enc(t0 + 5);
+      __m256i d6 = enc(t0 + 6), d7 = enc(t0 + 7);
+      Transpose8x8Epi32(d0, d1, d2, d3, d4, d5, d6, d7);
+      const bool whole = t0 + 8 <= quads;
+      const auto store = [&](int j, __m256i v) {
+        if (dst[j] == nullptr) return;
+        if (whole) {
+          _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst[j] + 4 * t0), v);
+        } else {
+          _mm256_maskstore_epi32(reinterpret_cast<int*>(dst[j] + 4 * t0),
+                                 tail_mask, v);
+        }
+      };
+      store(0, d0);
+      store(1, d1);
+      store(2, d2);
+      store(3, d3);
+      store(4, d4);
+      store(5, d5);
+      store(6, d6);
+      store(7, d7);
+    }
+  }
 }
 
 /// Norm-statistics reduction: sum and sum-of-squares accumulated as 4
@@ -622,9 +769,9 @@ Transpose8ColFn Avx2Transpose8Col() {
   return supported ? &Transpose8ColAvx2 : nullptr;
 }
 
-Transpose8ColMMFn Avx2Transpose8ColMinMax() {
+U7ColumnsFn Avx2QuantizeColumnsU7() {
   static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &Transpose8ColMinMaxAvx2 : nullptr;
+  return supported ? &QuantizeColumnsU7Avx2 : nullptr;
 }
 
 Int8EpilogueFn Avx2Int8Epilogue() {
@@ -659,7 +806,7 @@ EncodeU7Fn Avx2EncodeU7() { return nullptr; }
 
 Transpose8ColFn Avx2Transpose8Col() { return nullptr; }
 
-Transpose8ColMMFn Avx2Transpose8ColMinMax() { return nullptr; }
+U7ColumnsFn Avx2QuantizeColumnsU7() { return nullptr; }
 
 Int8EpilogueFn Avx2Int8Epilogue() { return nullptr; }
 

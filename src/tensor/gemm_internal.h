@@ -114,18 +114,36 @@ using EncodeU7Fn = void (*)(const float* v, int64_t n, float lo, float inv,
 using Transpose8ColFn = void (*)(const float* src, int64_t ld, int64_t k,
                                  float* dst, int64_t dst_stride);
 
-/// The column gather of the conv quantizer, with the per-column min/max
-/// scan fused into the gather pass: for j < 8 and p < k,
-/// dst[j*dst_stride + p] = b.row(p)[q + lane_j], where lane_j = j when
-/// `lanes` is nullptr (8 adjacent columns, plain vector loads) and
-/// lanes[j] otherwise (8 pixels that span output rows, gathered).
-/// lo8[j]/hi8[j] receive column j's min/max (value-equal to the
-/// seed-then-compare scalar loop up to the MinMaxF32Fn +-0 tie caveat),
-/// saving the quantizer a separate sweep over the scratch rows. k >= 1.
-using Transpose8ColMMFn = void (*)(const ColsView& b, int64_t q,
-                                   const int32_t* lanes, int64_t k,
-                                   float* dst, int64_t dst_stride,
-                                   float* lo8, float* hi8);
+/// One call's worth of column quantization: the columns of b (a conv
+/// operand's output pixels) become rows of u7 codes in the segment-padded
+/// layout the int8 kernel reads. Pixel i quantizes rows p < k of its
+/// column with one affine: lo = min, hi = max over the column (folded in
+/// row order as lo = lo < v ? lo : v and hi = hi > v ? hi : v, the
+/// operand order of vminps/vmaxps),
+/// scale = (hi - lo) / 127, inv = scale > 0 ? 1 / scale : 0, and
+/// code = clamp(lrintf((v - lo) * inv), 0, 127). The codes of quad t are
+/// rows quad_first[t] + u for u < quad_rows[t] (1..4; the rest of the
+/// quad is 0) and land at codes + i*row_bytes + 4*t. aeff[i] =
+/// alpha * scale and amineff[i] = alpha * lo feed the dequant epilogue.
+struct U7Columns {
+  ColsView b;
+  int64_t k = 0;
+  float alpha = 1.0f;
+  const int32_t* quad_first = nullptr;
+  const int32_t* quad_rows = nullptr;
+  int64_t quads = 0;
+  int64_t row_bytes = 0;
+  uint8_t* codes = nullptr;
+  float* aeff = nullptr;
+  float* amineff = nullptr;
+};
+
+/// Quantizes pixels [i0, i1) of a U7Columns job, writing only their rows
+/// of codes, aeff and amineff (so disjoint ranges may run in parallel).
+using U7ColumnsFn = void (*)(const U7Columns& job, int64_t i0, int64_t i1);
+
+/// The portable flavor: one pixel at a time, strided reads.
+void QuantizeColumnsU7(const U7Columns& job, int64_t i0, int64_t i1);
 
 /// Dequant epilogue for one (row-chunk, segment) pair of a 16-column
 /// panel: ftile[i*16+c] += gs[c] * (as[i]*acc[i*16+c] + amin[i]*gsum[c])
@@ -143,7 +161,11 @@ using Int8EpilogueFn = void (*)(int mc, const int32_t* acc,
 MinMaxF32Fn Avx2MinMaxF32();
 EncodeU7Fn Avx2EncodeU7();
 Transpose8ColFn Avx2Transpose8Col();
-Transpose8ColMMFn Avx2Transpose8ColMinMax();
+/// The vector column quantizer: a vertical min/max over 8 wide-grid
+/// columns at a time, then 4 rows x 8 columns encoded into one dword per
+/// column and an 8x8 dword transpose into the pixels' code rows.
+/// Bitwise equal to QuantizeColumnsU7 in codes, aeff and amineff.
+U7ColumnsFn Avx2QuantizeColumnsU7();
 Int8EpilogueFn Avx2Int8Epilogue();
 
 /// sum and sum-of-squares over n contiguous floats, accumulated in double

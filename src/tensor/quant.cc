@@ -127,119 +127,112 @@ void BetaMergeQEpi(int64_t m, int64_t n, float beta, float* c, int64_t ldc,
   }
 }
 
-/// Quantizes op(A) rows into the segment-padded u8 layout: row i at
-/// aq + i*row_bytes, segment g's quads at byte offset seg_quad_off[g]*4.
-/// One affine (min, scale) per row over the active k, codes in [0, 127];
-/// aeff[i] = alpha * scale[i] and amineff[i] = alpha * min[i] feed the
-/// dequant epilogue directly. Padded positions hold code 0 — harmless
-/// because the matching weight bytes are 0, so both the integer products
-/// and the colsum correction ignore them.
-class RowQuantizer {
- public:
-  RowQuantizer(float alpha, const std::vector<int64_t>& seg_ends,
-               int64_t s_act, const std::vector<int64_t>& seg_quad_off,
-               int64_t row_bytes, uint8_t* aq, float* aeff, float* amineff)
-      : alpha_(alpha),
-        seg_ends_(seg_ends),
-        s_act_(s_act),
-        seg_quad_off_(seg_quad_off),
-        row_bytes_(row_bytes),
-        aq_(aq),
-        aeff_(aeff),
-        amineff_(amineff),
-        k_(seg_ends[static_cast<size_t>(s_act - 1)]) {}
-
-  /// Row i from its k contiguous values, whose min and max are known.
-  /// Element-exact across the AVX2 and scalar encoders (vcvtps2dq and
-  /// lrintf share round-to-nearest-even), so the dispatch is pure speed.
-  void Bounded(int64_t i, const float* arow, float lo, float hi) const {
-    const float scale = (hi - lo) / 127.0f;
-    aeff_[i] = alpha_ * scale;
-    amineff_[i] = alpha_ * lo;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    uint8_t* row = aq_ + i * row_bytes_;
-    for (int64_t g = 0; g < s_act_; ++g) {
-      const int64_t s0 = g > 0 ? seg_ends_[static_cast<size_t>(g - 1)] : 0;
-      const int64_t s1 = seg_ends_[static_cast<size_t>(g)];
-      uint8_t* seg = row + seg_quad_off_[static_cast<size_t>(g)] * 4;
-      int64_t idx = 0;
-      if (encode_fn_ != nullptr) {
-        encode_fn_(arow + s0, s1 - s0, lo, inv, seg);
-        idx = s1 - s0;
+/// Quantizes the m rows of a (leading dimension lda) over the first s_act
+/// segments into the segment-padded u8 layout: row i at aq + i*row_bytes,
+/// segment g's quads at byte offset seg_quad_off[g]*4. One affine (min,
+/// scale) per row over the active k, codes in [0, 127]; aeff[i] = alpha *
+/// scale[i] and amineff[i] = alpha * min[i] feed the dequant epilogue
+/// directly. Padded positions hold code 0 — harmless because the matching
+/// weight bytes are 0, so both the integer products and the colsum
+/// correction ignore them. Element-exact across the AVX2 and scalar
+/// encoders (vcvtps2dq and lrintf share round-to-nearest-even), so the
+/// dispatch is pure speed. The columns of a matrix (the conv operand) go
+/// through QuantizeColumns instead, with the same math.
+void QuantizeRows(const float* a, int64_t lda, int64_t m, float alpha,
+                  const std::vector<int64_t>& seg_ends, int64_t s_act,
+                  const std::vector<int64_t>& seg_quad_off, uint8_t* aq,
+                  float* aeff, float* amineff) {
+  const int64_t k = seg_ends[static_cast<size_t>(s_act - 1)];
+  const int64_t row_bytes = seg_quad_off.back() * 4;
+  const detail::MinMaxF32Fn minmax_fn = detail::Avx2MinMaxF32();
+  const detail::EncodeU7Fn encode_fn = detail::Avx2EncodeU7();
+  auto quant_rows = [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      const float* arow = a + i * lda;
+      float lo = 0.0f, hi = 0.0f;
+      if (minmax_fn != nullptr) {
+        minmax_fn(arow, k, &lo, &hi);
       } else {
-        for (int64_t p = s0; p < s1; ++p) {
-          seg[idx++] = QuantizeValueU7(arow[p], lo, inv);
+        for (int64_t p = 0; p < k; ++p) {
+          const float v = arow[p];
+          if (p == 0 || v < lo) lo = v;
+          if (p == 0 || v > hi) hi = v;
         }
       }
-      while (idx & 3) seg[idx++] = 0;  // pad segments to a full quad
-    }
-  }
-
-  /// Row i from its k contiguous values.
-  void Row(int64_t i, const float* arow) const {
-    float lo = 0.0f, hi = 0.0f;
-    if (minmax_fn_ != nullptr) {
-      minmax_fn_(arow, k_, &lo, &hi);
-    } else {
-      for (int64_t p = 0; p < k_; ++p) {
-        const float v = arow[p];
-        if (p == 0 || v < lo) lo = v;
-        if (p == 0 || v > hi) hi = v;
-      }
-    }
-    Bounded(i, arow, lo, hi);
-  }
-
-  /// Rows [i0, i1) of op(A) = the columns of b: pixel i of a conv operand.
-  /// Eight pixels at a time are gathered into contiguous scratch rows with
-  /// the min/max scan fused in, so the vector encoder applies; the rest
-  /// are gathered one by one. Same per-element math either way.
-  void Columns(const ColsView& b, int64_t i0, int64_t i1) const {
-    ScratchArena& arena = ScratchArena::ForThread();
-    ScratchArena::Scope scope(arena);
-    float* tp = arena.Alloc(8 * k_);
-    const auto wide = [&](int64_t i) {
-      const int64_t oi = i / b.out_w;
-      return oi * b.pitch + (i - oi * b.out_w);
-    };
-    const detail::Transpose8ColMMFn tpose_fn =
-        detail::Avx2Transpose8ColMinMax();
-    int64_t i = i0;
-    if (tpose_fn != nullptr && encode_fn_ != nullptr) {
-      float lo8[8], hi8[8];
-      int32_t lanes[8];
-      for (; i + 8 <= i1; i += 8) {
-        const int64_t q = wide(i);
-        const bool adjacent = wide(i + 7) == q + 7;
-        if (!adjacent) {
-          for (int j = 0; j < 8; ++j) {
-            lanes[j] = static_cast<int32_t>(wide(i + j) - q);
+      const float scale = (hi - lo) / 127.0f;
+      aeff[i] = alpha * scale;
+      amineff[i] = alpha * lo;
+      const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+      uint8_t* row = aq + i * row_bytes;
+      for (int64_t g = 0; g < s_act; ++g) {
+        const int64_t s0 = g > 0 ? seg_ends[static_cast<size_t>(g - 1)] : 0;
+        const int64_t s1 = seg_ends[static_cast<size_t>(g)];
+        uint8_t* seg = row + seg_quad_off[static_cast<size_t>(g)] * 4;
+        int64_t idx = 0;
+        if (encode_fn != nullptr) {
+          encode_fn(arow + s0, s1 - s0, lo, inv, seg);
+          idx = s1 - s0;
+        } else {
+          for (int64_t p = s0; p < s1; ++p) {
+            seg[idx++] = QuantizeValueU7(arow[p], lo, inv);
           }
         }
-        tpose_fn(b, q, adjacent ? nullptr : lanes, k_, tp, k_, lo8, hi8);
-        for (int j = 0; j < 8; ++j) Bounded(i + j, tp + j * k_, lo8[j], hi8[j]);
+        while (idx & 3) seg[idx++] = 0;  // pad segments to a full quad
       }
     }
-    for (; i < i1; ++i) {
-      const int64_t q = wide(i);
-      for (int64_t p = 0; p < k_; ++p) tp[p] = b.row(p)[q];
-      Row(i, tp);
+  };
+  // Two passes per element (min/max, encode); weigh them at 6
+  // ops/element when deciding to fan out.
+  if (WorthParallel(6 * m * k, m)) {
+    ParallelForCompute(m, quant_rows);
+  } else {
+    quant_rows(0, m);
+  }
+}
+
+/// Quantizes the columns of b over the first s_act segments into the
+/// same layout as QuantizeRows (pixel i's codes at codes + i*row_bytes),
+/// fanning out over pixels when it pays.
+void QuantizeColumns(const ColsView& b, float alpha,
+                     const std::vector<int64_t>& seg_ends, int64_t s_act,
+                     const std::vector<int64_t>& seg_quad_off,
+                     uint8_t* codes, float* aeff, float* amineff) {
+  detail::U7Columns job;
+  job.b = b;
+  job.k = seg_ends[static_cast<size_t>(s_act - 1)];
+  job.alpha = alpha;
+  job.quads = seg_quad_off[static_cast<size_t>(s_act)];
+  job.row_bytes = seg_quad_off.back() * 4;
+  job.codes = codes;
+  job.aeff = aeff;
+  job.amineff = amineff;
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(arena);
+  int32_t* quad_first = reinterpret_cast<int32_t*>(arena.Alloc(job.quads));
+  int32_t* quad_rows = reinterpret_cast<int32_t*>(arena.Alloc(job.quads));
+  for (int64_t g = 0, t = 0; g < s_act; ++g) {
+    const int64_t s1 = seg_ends[static_cast<size_t>(g)];
+    for (int64_t p = g > 0 ? seg_ends[static_cast<size_t>(g - 1)] : 0; p < s1;
+         p += 4, ++t) {
+      quad_first[t] = static_cast<int32_t>(p);
+      quad_rows[t] = static_cast<int32_t>(std::min<int64_t>(4, s1 - p));
     }
   }
-
- private:
-  const float alpha_;
-  const std::vector<int64_t>& seg_ends_;
-  const int64_t s_act_;
-  const std::vector<int64_t>& seg_quad_off_;
-  const int64_t row_bytes_;
-  uint8_t* const aq_;
-  float* const aeff_;
-  float* const amineff_;
-  const int64_t k_;
-  const detail::MinMaxF32Fn minmax_fn_ = detail::Avx2MinMaxF32();
-  const detail::EncodeU7Fn encode_fn_ = detail::Avx2EncodeU7();
-};
+  job.quad_first = quad_first;
+  job.quad_rows = quad_rows;
+  static const detail::U7ColumnsFn fn = [] {
+    const detail::U7ColumnsFn avx2 = detail::Avx2QuantizeColumnsU7();
+    return avx2 != nullptr ? avx2 : &detail::QuantizeColumnsU7;
+  }();
+  const int64_t n = b.cols();
+  // Two passes over the k x n operand (min/max, encode) at a few ops per
+  // element; weigh them at 6 ops/element when deciding to fan out.
+  if (WorthParallel(6 * n * job.k, n)) {
+    ParallelForCompute(n, [&](int64_t i0, int64_t i1) { fn(job, i0, i1); });
+  } else {
+    fn(job, 0, n);
+  }
+}
 
 /// Number of whole segments covered by the sliced k; dies unless k lands
 /// exactly on a segment boundary (slice rates do by construction).
@@ -254,6 +247,37 @@ int64_t ActiveSegments(const std::vector<int64_t>& seg_ends, int64_t k) {
 }
 
 }  // namespace
+
+namespace detail {
+
+void QuantizeColumnsU7(const U7Columns& job, int64_t i0, int64_t i1) {
+  const ColsView& b = job.b;
+  for (int64_t i = i0; i < i1; ++i) {
+    const int64_t oi = i / b.out_w;
+    const int64_t q = oi * b.pitch + (i - oi * b.out_w);
+    float lo = b.row(0)[q], hi = lo;
+    for (int64_t p = 1; p < job.k; ++p) {
+      const float v = b.row(p)[q];
+      lo = lo < v ? lo : v;
+      hi = hi > v ? hi : v;
+    }
+    const float scale = (hi - lo) / 127.0f;
+    job.aeff[i] = job.alpha * scale;
+    job.amineff[i] = job.alpha * lo;
+    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
+    uint8_t* row = job.codes + i * job.row_bytes;
+    for (int64_t t = 0; t < job.quads; ++t) {
+      for (int u = 0; u < 4; ++u) {
+        row[4 * t + u] =
+            u < job.quad_rows[t]
+                ? QuantizeValueU7(b.row(job.quad_first[t] + u)[q], lo, inv)
+                : uint8_t{0};
+      }
+    }
+  }
+}
+
+}  // namespace detail
 
 float QuantizedPack::scale(int64_t segment, int64_t col) const {
   MS_CHECK(valid_ && segment >= 0 &&
@@ -413,25 +437,14 @@ void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
   float* aeff = arena.Alloc(m);
   float* amineff = arena.Alloc(m);
 
-  const RowQuantizer quant(alpha, bpack.seg_ends_, s_act,
-                           bpack.seg_quad_off_, row_bytes, aq, aeff,
-                           amineff);
-  auto quant_rows = [&](int64_t i0, int64_t i1) {
-    if (trans_a) {
-      quant.Columns(ColsView::Matrix(a, lda, m), i0, i1);
-      return;
-    }
-    for (int64_t i = i0; i < i1; ++i) quant.Row(i, a + i * lda);
-  };
-  const int64_t flops = 2 * m * n * k;
-  // Quantization makes ~3 passes per element (min/max, encode, and for
-  // the transposed flavor a gather), so weigh it at 6 ops/element when
-  // deciding to fan out.
-  if (WorthParallel(6 * m * k, m)) {
-    ParallelForCompute(m, quant_rows);
+  if (trans_a) {
+    QuantizeColumns(ColsView::Matrix(a, lda, m), alpha, bpack.seg_ends_,
+                    s_act, bpack.seg_quad_off_, aq, aeff, amineff);
   } else {
-    quant_rows(0, m);
+    QuantizeRows(a, lda, m, alpha, bpack.seg_ends_, s_act,
+                 bpack.seg_quad_off_, aq, aeff, amineff);
   }
+  const int64_t flops = 2 * m * n * k;
 
   auto run = [&](int64_t p0, int64_t p1) {
     alignas(64) int32_t acc[kQRowChunk * kQNr];
@@ -530,19 +543,9 @@ void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
       arena.Alloc(detail::CeilDiv(n * row_bytes, 4)));
   float* beff = arena.Alloc(n);
   float* bmineff = arena.Alloc(n);
-  const RowQuantizer quant(1.0f, wpack_t.seg_ends_, s_act,
-                           wpack_t.seg_quad_off_, row_bytes, bq, beff,
-                           bmineff);
-  auto quant_cols = [&](int64_t i0, int64_t i1) { quant.Columns(b, i0, i1); };
+  QuantizeColumns(b, 1.0f, wpack_t.seg_ends_, s_act, wpack_t.seg_quad_off_,
+                  bq, beff, bmineff);
   const int64_t flops = 2 * m * n * k;
-  // Same 6 ops/element weighting as GemmQuantizedB: the column quantize
-  // gathers the whole k x n operand, which serial execution leaves as the
-  // dominant cost of conv-shaped calls.
-  if (WorthParallel(6 * n * k, n)) {
-    ParallelForCompute(n, quant_cols);
-  } else {
-    quant_cols(0, n);
-  }
 
   // Pixel chunks own disjoint column ranges of every C row, so the
   // parallel partition below writes disjoint memory.

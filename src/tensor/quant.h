@@ -25,7 +25,10 @@
 // exact because a = a_min + a_scale * q folds through the contraction as
 // a zero-point correction against the per-(segment, column) sum of
 // quantized weights, which QuantizePackB precomputes alongside the
-// scales.
+// scales. Two quantizers produce the same codes: a row quantizer for
+// op(A) rows in memory, and a vertical column quantizer for columns (the
+// transposed flavor and the conv operand), which takes min/max down 8
+// columns at a time and transposes quads of codes into each column's row.
 //
 // Dequant epilogue: the s32 tile of segment g folds back as
 // C += b_scale[g][j] * (alpha * a_scale[i] * acc
@@ -164,8 +167,8 @@ void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
 /// beta * C, where `wpack_t` packs op(B) = W^T — i.e. the SAME
 /// QuantizePackB(trans_b=true, K, M, w, K, ends) call the dense layers
 /// use. Internally computes C^T = op(b)^T * W^T with per-column (per
-/// output pixel) dynamic quantization of b and a transposed merge, so one
-/// pack format serves both operand roles. beta must be 0 or 1. `epi` is
+/// output pixel) dynamic quantization of b (the column quantizer) and a
+/// transposed merge, so one pack format serves both operand roles. beta must be 0 or 1. `epi` is
 /// applied at C-writeback (conv bias is the per_row case: one value per
 /// output channel / C row).
 void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
@@ -174,8 +177,9 @@ void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
                           const Epilogue& epi = {});
 
 /// The conv form: b (k x b.cols()) is read in place through the view
-/// (cols_view.h). Each output pixel is quantized from its own column, as
-/// in the form above, so the two agree bit for bit.
+/// (cols_view.h). Each output pixel is quantized from its own column by
+/// the same column quantizer as the form above, so the two agree bit for
+/// bit; junk columns of the view's wide grid are never stored.
 void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
                           const ColsView& b, float beta, float* c,
                           int64_t ldc, const Epilogue& epi = {});

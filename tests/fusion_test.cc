@@ -409,6 +409,37 @@ TEST(ActivationFootprint, Vgg13PeakRisesWithSliceRate) {
   }
 }
 
+// Sequential hands its input to the first child instead of copying it
+// (Tensor's copy is deep). At r = 0.25 an mlp's activations are a quarter
+// as wide as its 8 x 512 input, so a forward that peaks at the input's
+// size has copied it. A Sequential in which no child runs still returns
+// its input.
+TEST(ActivationFootprint, SequentialForwardHoldsNoCopyOfItsInput) {
+  GlobalStateGuard guard;
+  ops::SetComputeThreads(1);
+  MlpConfig cfg;
+  cfg.in_features = 512;
+  cfg.hidden = {512, 512};
+  cfg.num_classes = 10;
+  cfg.group_norm = true;
+  auto net = MakeMlp(cfg).MoveValueOrDie();
+  Rng rng(409);
+  const Tensor x = Tensor::Randn({8, 512}, &rng);
+  net->SetSliceRate(0.25);
+  net->Forward(x, /*training=*/false);
+  const int64_t before = Tensor::LiveBytes();
+  Tensor::ResetPeakLiveBytes();
+  net->Forward(x, /*training=*/false);
+  const int64_t peak = Tensor::PeakLiveBytes() - before;
+  EXPECT_EQ(Tensor::LiveBytes(), before);
+  EXPECT_GT(peak, 0);
+  EXPECT_LT(peak, x.size() * static_cast<int64_t>(sizeof(float)));
+
+  Sequential empty;
+  ExpectBitwise(empty.Forward(x, /*training=*/false), x,
+                "empty Sequential returns its input");
+}
+
 // ---------------------------------------------------------------------------
 // Whole-model fused vs unfused bitwise equality across rates/precisions.
 // ---------------------------------------------------------------------------
@@ -671,6 +702,102 @@ TEST(ConvForward, InPlaceIm2ColMatchesMaterialisedOracle) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+// An int8 conv oracle that shares no code with the column quantizer: the
+// materialised im2col is transposed, quantized row by row through
+// GemmQuantizedB(trans_a = false) with the bias per C^T column, and
+// transposed back. Covers the 27-tap stem shape, slice groups whose tap
+// count is not a multiple of 4, pixel counts that are not a multiple of 8,
+// the junk columns of the wide grid (pad 0) and the phase planes (stride
+// 2), the 1x1 pad-0 view that reads the input tensor itself, constant
+// columns (scale 0) and +-0 inputs, at 1, 2 and 4 compute threads.
+TEST(ConvForward, Int8MatchesRowQuantizedTransposedOracle) {
+  GlobalStateGuard guard;
+  Rng rng(621);
+  struct Shape {
+    int64_t in, groups, kernel, stride, pad, h, w;
+  };
+  const Shape shapes[] = {
+      {3, 3, 3, 1, 1, 7, 6},  // 27 taps in groups of 9
+      {8, 4, 3, 1, 0, 7, 6},  // groups of 18 taps, junk columns
+      {8, 4, 3, 2, 1, 7, 6},  // phase planes
+      {8, 4, 1, 1, 0, 7, 5},  // in place, 35 pixels
+      {8, 4, 3, 1, 1, 3, 3},  // the last stage's 3x3 maps
+  };
+  constexpr int64_t kOut = 20;
+  for (const Shape& s : shapes) {
+    Conv2dOptions o;
+    o.in_channels = s.in;
+    o.out_channels = kOut;
+    o.kernel = s.kernel;
+    o.stride = s.stride;
+    o.pad = s.pad;
+    o.groups = s.groups;
+    o.bias = true;
+    Conv2d conv(o, &rng);
+    for (int64_t c = 0; c < kOut; ++c) {
+      (*conv.mutable_bias())[c] = 0.05f * static_cast<float>(c % 7) - 0.1f;
+    }
+    conv.SetFusedActivation(EpiAct::kRelu);
+    conv.SetPrecision(Precision::kInt8);
+    const int64_t kk = s.kernel * s.kernel;
+    const int64_t ld_w = s.in * kk;
+    const SliceSpec spec(s.in, s.groups);
+    std::vector<int64_t> k_ends;
+    for (int64_t g = 1; g <= s.groups; ++g) {
+      k_ends.push_back(spec.GroupBoundary(g) * kk);
+    }
+    ops::QuantizedPack qpack;
+    ops::EnsureQuantizedB(true, ld_w, kOut, conv.weight().data(), ld_w,
+                          k_ends, &qpack);
+    const int64_t oh = (s.h + 2 * s.pad - s.kernel) / s.stride + 1;
+    const int64_t ow = (s.w + 2 * s.pad - s.kernel) / s.stride + 1;
+    const int64_t area = oh * ow;
+    for (double rate : {1.0, 0.5}) {
+      conv.SetSliceRate(rate);
+      const int64_t ci = conv.active_in(), co = conv.active_out();
+      const int64_t taps = ci * kk;
+      const int64_t img_size = ci * s.h * s.w;
+      // Image 0 random, image 1 constant, image 2 alternating +0 / -0.
+      Tensor x = Tensor::Randn({3, ci, s.h, s.w}, &rng);
+      for (int64_t e = 0; e < img_size; ++e) {
+        x[img_size + e] = 0.75f;
+        x[2 * img_size + e] = (e % 2) != 0 ? -0.0f : 0.0f;
+      }
+      Tensor cols({taps, area}), cols_t({area, taps}), ct({area, co});
+      Tensor want({3, co, oh, ow});
+      for (int64_t img = 0; img < 3; ++img) {
+        ops::Im2Col(x.data() + img * img_size, ci, s.h, s.w, s.kernel,
+                    s.stride, s.pad, cols.data());
+        for (int64_t p = 0; p < taps; ++p) {
+          for (int64_t j = 0; j < area; ++j) {
+            cols_t[j * taps + p] = cols[p * area + j];
+          }
+        }
+        Epilogue e;
+        e.bias = conv.bias().data();
+        e.per_row = false;
+        e.act = EpiAct::kRelu;
+        ops::GemmQuantizedB(false, area, co, taps, 1.0f, cols_t.data(), taps,
+                            qpack, 0.0f, ct.data(), co, e);
+        for (int64_t c = 0; c < co; ++c) {
+          for (int64_t j = 0; j < area; ++j) {
+            want[(img * co + c) * area + j] = ct[j * co + c];
+          }
+        }
+      }
+      for (int threads : {1, 2, 4}) {
+        ops::SetComputeThreads(threads);
+        const std::string at =
+            "in" + std::to_string(s.in) + " k" + std::to_string(s.kernel) +
+            " s" + std::to_string(s.stride) + " p" + std::to_string(s.pad) +
+            " r" + std::to_string(rate) + " t" + std::to_string(threads);
+        ExpectBitwise(conv.Forward(x, /*training=*/false), want,
+                      ("int8 vs row-quantized oracle " + at).c_str());
       }
     }
   }

@@ -12,11 +12,13 @@
 //     the per-(segment, column) scale layout is what buys this.
 //   * Results are bitwise identical at every thread count, transpose
 //     flavor, and beta in {0, 1}; GemmQuantizedWeightA is the same
-//     contraction as GemmQuantizedB modulo the transposed merge.
+//     contraction as GemmQuantizedB modulo the transposed merge, and the
+//     vector column quantizer returns the scalar one's bits.
 //   * EnsureQuantizedB re-packs exactly when the cache key or the
 //     process-wide weight generation changed (SGD::Step, LoadParams).
 //   * Int8 inference at every trained rate stays within a stated top-1
 //     tolerance of fp32 on the seed CNN (module-level sweep).
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -30,7 +32,9 @@
 #include "src/nn/module.h"
 #include "src/nn/serialize.h"
 #include "src/optim/sgd.h"
+#include "src/tensor/cols_view.h"
 #include "src/tensor/gemm.h"
+#include "src/tensor/gemm_internal.h"
 #include "src/tensor/prepack.h"
 #include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
@@ -342,11 +346,138 @@ TEST(QuantGemm, WeightAMatchesTransposedBFlavor) {
     Tensor ct({pixels, channels});
     GemmQuantizedB(true, pixels, channels, k, 1.0f, cols.data(), pixels,
                    pack, 0.0f, ct.data(), channels);
+    // The row quantizer on the explicitly transposed operand shares no
+    // code with the column quantizer both calls above run.
+    Tensor cols_t({pixels, kfull});
+    for (int64_t p = 0; p < kfull; ++p) {
+      for (int64_t px = 0; px < pixels; ++px) {
+        cols_t.data()[px * kfull + p] = cols.data()[p * pixels + px];
+      }
+    }
+    Tensor ct_rows({pixels, channels});
+    GemmQuantizedB(false, pixels, channels, k, 1.0f, cols_t.data(), kfull,
+                   pack, 0.0f, ct_rows.data(), channels);
     for (int64_t ch = 0; ch < channels; ++ch) {
       for (int64_t px = 0; px < pixels; ++px) {
         EXPECT_EQ(c_wa.data()[ch * pixels + px],
                   ct.data()[px * channels + ch])
             << "k=" << k << " ch=" << ch << " px=" << px;
+        EXPECT_EQ(c_wa.data()[ch * pixels + px],
+                  ct_rows.data()[px * channels + ch])
+            << "rows k=" << k << " ch=" << ch << " px=" << px;
+      }
+    }
+  }
+}
+
+// Quad table of the first `groups` segments of `ends`, as the quantizer
+// builds it: quad t covers rows first[t] .. first[t] + rows[t].
+void QuadTable(const std::vector<int64_t>& ends, size_t groups,
+               std::vector<int32_t>* first, std::vector<int32_t>* rows) {
+  first->clear();
+  rows->clear();
+  for (size_t g = 0; g < groups; ++g) {
+    const int64_t s1 = ends[g];
+    for (int64_t p = g > 0 ? ends[g - 1] : 0; p < s1; p += 4) {
+      first->push_back(static_cast<int32_t>(p));
+      rows->push_back(static_cast<int32_t>(std::min<int64_t>(4, s1 - p)));
+    }
+  }
+}
+
+// The vector column quantizer against the scalar one in the same process:
+// codes, aeff and amineff bitwise equal, and the same bytes left untouched
+// (both buffers start from one fill pattern), over matrix and conv views
+// (27 taps, groups not a multiple of 4 taps, junk columns, phase planes,
+// the 1x1 pad-0 view over the input itself, a view narrower than one
+// vector), random, constant and +-0 columns, whole and split pixel ranges.
+TEST(QuantColumns, VectorFlavorMatchesScalarBitwise) {
+  const ops::detail::U7ColumnsFn vec = ops::detail::Avx2QuantizeColumnsU7();
+  if (vec == nullptr) GTEST_SKIP() << "no AVX2 column quantizer here";
+  Rng rng(31);
+  struct Case {
+    int64_t channels, h, w, kernel, stride, pad, groups;
+    bool matrix;
+  };
+  const Case cases[] = {
+      {3, 7, 6, 3, 1, 1, 3, false},   {8, 7, 6, 3, 1, 0, 4, false},
+      {8, 7, 6, 3, 2, 1, 4, false},   {8, 7, 5, 1, 1, 0, 4, false},
+      {4, 3, 3, 3, 1, 1, 2, false},   {2, 2, 2, 1, 1, 0, 2, false},
+      {16, 12, 12, 3, 1, 1, 4, false}, {54, 1, 33, 1, 1, 0, 3, true},
+  };
+  for (const Case& cs : cases) {
+    const ops::ConvPlanes pl(cs.channels, cs.h, cs.w, cs.kernel, cs.stride,
+                             cs.pad);
+    const int64_t taps = pl.taps();
+    std::vector<int64_t> ends = Ends(taps, cs.groups);
+    for (int pattern = 0; pattern < 5; ++pattern) {
+      // 0 random, 1 constant, 2 +-0, 3 random with constant channel 0,
+      // 4 ranges so narrow that the scale is subnormal or its inverse
+      // overflows.
+      Tensor x = Tensor::Randn({cs.channels, cs.h, cs.w}, &rng);
+      for (int64_t e = 0; e < x.size(); ++e) {
+        const bool chan0 = e < cs.h * cs.w;
+        if (pattern == 1 || (pattern == 3 && chan0)) x.data()[e] = -1.5f;
+        if (pattern == 2) x.data()[e] = (e % 3) != 0 ? -0.0f : 0.0f;
+        if (pattern == 4) x.data()[e] *= (e % 2) != 0 ? 1e-37f : 1e-40f;
+      }
+      std::vector<int64_t> off(static_cast<size_t>(taps));
+      pl.TapOffsets(off.data());
+      std::vector<float> planes(static_cast<size_t>(pl.floats()), 0.0f);
+      ops::ColsView view;
+      if (cs.matrix) {
+        // The 54 x 33 matrix the transposed GemmQuantizedB flavor reads.
+        view = ops::ColsView::Matrix(x.data(), cs.w, cs.w);
+      } else if (pl.in_place()) {
+        view = pl.View(x.data(), off.data());
+      } else {
+        pl.Fill(x.data(), planes.data());
+        view = pl.View(planes.data(), off.data());
+      }
+      const int64_t n = view.cols();
+      for (size_t groups = 1; groups <= ends.size(); ++groups) {
+        std::vector<int32_t> first, rows;
+        QuadTable(ends, groups, &first, &rows);
+        const int64_t row_bytes = 4 * ((taps + 3) / 4 + cs.groups);
+        ops::detail::U7Columns job;
+        job.b = view;
+        job.k = ends[groups - 1];
+        job.alpha = 0.5f;
+        job.quad_first = first.data();
+        job.quad_rows = rows.data();
+        job.quads = static_cast<int64_t>(first.size());
+        job.row_bytes = row_bytes;
+        std::vector<uint8_t> codes[2];
+        std::vector<float> aeff[2], amineff[2];
+        for (int f = 0; f < 2; ++f) {
+          codes[f].assign(static_cast<size_t>(n * row_bytes), 0xAB);
+          aeff[f].assign(static_cast<size_t>(n), -7.0f);
+          amineff[f].assign(static_cast<size_t>(n), -7.0f);
+          job.codes = codes[f].data();
+          job.aeff = aeff[f].data();
+          job.amineff = amineff[f].data();
+          const ops::detail::U7ColumnsFn fn =
+              f == 0 ? &ops::detail::QuantizeColumnsU7 : vec;
+          if (pattern % 2 == 0) {
+            fn(job, 0, n);
+          } else {
+            // Uneven shards, as a ParallelFor partition cuts them.
+            const int64_t a = n / 3, b = n - n / 5;
+            fn(job, 0, a);
+            fn(job, a, b);
+            fn(job, b, n);
+          }
+        }
+        const std::string at = "taps " + std::to_string(taps) + " k " +
+                               std::to_string(job.k) + " pattern " +
+                               std::to_string(pattern);
+        EXPECT_EQ(codes[0], codes[1]) << at;
+        EXPECT_EQ(0, std::memcmp(aeff[0].data(), aeff[1].data(),
+                                 static_cast<size_t>(n) * sizeof(float)))
+            << at;
+        EXPECT_EQ(0, std::memcmp(amineff[0].data(), amineff[1].data(),
+                                 static_cast<size_t>(n) * sizeof(float)))
+            << at;
       }
     }
   }
