@@ -15,39 +15,6 @@ int64_t SpatialArea(const Tensor& x) {
   return area;
 }
 
-// Portable twin of detail::SumSqF32Avx2: the identical 4-lane decomposition
-// (lane j accumulates elements p ≡ j mod 4, pairwise fold, scalar tail), so
-// the AVX2 and portable flavors produce the same doubles bit for bit.
-void SumSqF32Portable(const float* v, int64_t n, double* sum, double* sumsq) {
-  double s[4] = {0.0, 0.0, 0.0, 0.0};
-  double q[4] = {0.0, 0.0, 0.0, 0.0};
-  int64_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    for (int j = 0; j < 4; ++j) {
-      const double x = static_cast<double>(v[p + j]);
-      s[j] += x;
-      q[j] += x * x;
-    }
-  }
-  double ts = (s[0] + s[1]) + (s[2] + s[3]);
-  double tq = (q[0] + q[1]) + (q[2] + q[3]);
-  for (; p < n; ++p) {
-    const double x = static_cast<double>(v[p]);
-    ts += x;
-    tq += x * x;
-  }
-  *sum = ts;
-  *sumsq = tq;
-}
-
-ops::detail::SumSqF32Fn ActiveSumSq() {
-  static const ops::detail::SumSqF32Fn fn = [] {
-    const ops::detail::SumSqF32Fn avx2 = ops::detail::Avx2SumSqF32();
-    return avx2 != nullptr ? avx2 : &SumSqF32Portable;
-  }();
-  return fn;
-}
-
 // Mean and 1/std of one (sample, group) slab of `count` floats.
 void GroupStats(ops::detail::SumSqF32Fn sumsq_fn, const float* xg,
                 int64_t count, float eps, float* mean, float* inv_std) {
@@ -58,37 +25,6 @@ void GroupStats(ops::detail::SumSqF32Fn sumsq_fn, const float* xg,
   if (var < 0.0) var = 0.0;  // guard the one-pass identity's rounding
   *mean = static_cast<float>(m);
   *inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-}
-
-// act(γ·x̂ + β) over one channel plane, x̂ = (x − mean)·inv_std: the
-// training path's expressions, so the pre-activation floats are its own,
-// and the activation is resolved at compile time so the loop stays
-// branch-free. The inference write loop of both norms.
-template <ops::EpiAct Act>
-void NormalizePlane(const float* __restrict__ x, float* __restrict__ y,
-                    int64_t n, float mean, float inv_std, float gam,
-                    float bet) {
-  for (int64_t p = 0; p < n; ++p) {
-    const float h = (x[p] - mean) * inv_std;
-    y[p] = ops::detail::EpiActApplyCT<Act>(gam * h + bet);
-  }
-}
-
-using NormalizeFn = void (*)(const float*, float*, int64_t, float, float,
-                             float, float);
-
-NormalizeFn NormalizeFor(ops::EpiAct act) {
-  switch (act) {
-    case ops::EpiAct::kRelu:
-      return &NormalizePlane<ops::EpiAct::kRelu>;
-    case ops::EpiAct::kSigmoid:
-      return &NormalizePlane<ops::EpiAct::kSigmoid>;
-    case ops::EpiAct::kTanh:
-      return &NormalizePlane<ops::EpiAct::kTanh>;
-    case ops::EpiAct::kNone:
-      break;
-  }
-  return &NormalizePlane<ops::EpiAct::kNone>;
 }
 
 }  // namespace
@@ -129,7 +65,7 @@ Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
   // y is fresh-uninitialized, the xhat cache reuses its warmed buffer.
   Tensor y = Tensor::Uninit(x.shape());
   cached_xhat_.EnsureShape(x.shape());
-  const ops::detail::SumSqF32Fn sumsq_fn = ActiveSumSq();
+  const ops::detail::SumSqF32Fn sumsq_fn = ops::detail::ActiveSumSqF32();
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t g = 0; g < active_groups_; ++g) {
       const int64_t c0 = spec_.GroupBoundary(g);
@@ -162,8 +98,9 @@ Tensor GroupNorm::ForwardInference(const Tensor& x) const {
   const int64_t batch = x.dim(0);
   const int64_t area = SpatialArea(x);
   Tensor y = Tensor::Uninit(x.shape());
-  const ops::detail::SumSqF32Fn sumsq_fn = ActiveSumSq();
-  const NormalizeFn normalize = NormalizeFor(fused_act_);
+  const ops::detail::SumSqF32Fn sumsq_fn = ops::detail::ActiveSumSqF32();
+  const ops::detail::NormalizeF32Fn normalize =
+      ops::detail::ActiveNormalizeF32(fused_act_);
   const float* xd = x.data();
   float* yd = y.data();
   // Samples are independent and write disjoint planes; statistics and the
@@ -284,7 +221,8 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
     cached_xhat_.EnsureShape(x.shape());
     cached_inv_std_.assign(static_cast<size_t>(active_channels_), 0.0f);
   }
-  const NormalizeFn normalize = NormalizeFor(fused_act_);
+  const ops::detail::NormalizeF32Fn normalize =
+      ops::detail::ActiveNormalizeF32(fused_act_);
   for (int64_t c = 0; c < active_channels_; ++c) {
     float mean, inv_std;
     if (training) {

@@ -77,7 +77,7 @@ inline float EpiActApply(EpiAct act, float v) {
 
 /// One element at logical C position (i, j). NOTE: the scale-shift is a
 /// contractible mul+add — only call this from a TU compiled with
-/// -ffp-contract=off (gemm.cc, prepack.cc, quant.cc, and the fusion test).
+/// -ffp-contract=off (the whole library, and the fusion test).
 inline float EpiApply(const Epilogue& e, int64_t i, int64_t j, float v) {
   const int64_t idx = e.per_row ? i : j;
   if (e.bias != nullptr) v += e.bias[idx];

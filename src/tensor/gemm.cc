@@ -9,7 +9,7 @@
 //      microkernel over its tiles and merges into its disjoint C region.
 // Phases 1-3 each ParallelFor over the compute pool; every task writes a
 // disjoint output range, so results are bitwise independent of the
-// partition. This file is compiled with -ffp-contract=off so the portable
+// partition. The library is compiled with -ffp-contract=off so the portable
 // kernel, reference, and skinny kernel keep the exact mul+add sequence on
 // any -march. The packing/merge helpers and the block constants live in
 // gemm_internal.h so prepack.cc produces panel-compatible buffers.
@@ -67,7 +67,7 @@ ThreadPool* Pool() {
 }
 
 // Portable register-tiled microkernel; the compiler vectorizes the NR
-// loop. Separate mul and add (this TU builds with -ffp-contract=off), so
+// loop. Separate mul and add (the library builds with -ffp-contract=off), so
 // every element sees the exact acc += (alpha*a)*b sequence of the
 // portable GemmRef.
 template <int MR, int NR>

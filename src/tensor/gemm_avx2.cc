@@ -1,7 +1,9 @@
-// AVX2/FMA 6x16 GEMM microkernel. This translation unit is the only one
-// compiled with -mavx2 -mfma; everything here is gated behind a runtime
-// __builtin_cpu_supports check so an AVX2-enabled build still runs (on the
-// portable kernel) on machines without the instructions.
+// AVX2/FMA 6x16 GEMM microkernel and the AVX2 twins of the int8, norm and
+// pool loops. This translation unit is the only one compiled with -mavx2
+// -mfma; everything here is gated behind a runtime __builtin_cpu_supports
+// check so an AVX2-enabled build still runs (on the portable kernels) on
+// machines without the instructions. Like the whole library it builds with
+// -ffp-contract=off: only the explicit fma intrinsics fuse.
 #include "src/tensor/gemm_internal.h"
 
 #if defined(MS_GEMM_AVX2)
@@ -10,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/tensor/scratch.h"
 
@@ -694,9 +697,8 @@ void SumSqF32Avx2(const float* v, int64_t n, double* sum, double* sumsq) {
   *sumsq = tq;
 }
 
-// Mirrors the scalar dequant epilogue op-for-op: mul, mul, add, mul, add
-// per element — deliberately no fma, so this flavor and the portable loop
-// return identical bits.
+// Mirrors Int8EpiloguePortable op-for-op: mul, mul, add, mul, add per
+// element, no fma, so the two flavors return identical bits.
 void Int8EpilogueAvx2(int mc, const int32_t* acc, const float* gs,
                       const int32_t* gsum, const float* as,
                       const float* amin, float* ftile) {
@@ -722,6 +724,90 @@ void Int8EpilogueAvx2(int mc, const int32_t* acc, const float* gs,
                                       _mm256_mul_ps(gs0, t0)));
     _mm256_storeu_ps(f + 8, _mm256_add_ps(_mm256_loadu_ps(f + 8),
                                           _mm256_mul_ps(gs1, t1)));
+  }
+}
+
+// Lanes [0, n) set, for the masked tails below.
+inline __m256i FirstLanes8(int64_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline __m128i FirstLanes4(int64_t n) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(n)),
+                         _mm_setr_epi32(0, 1, 2, 3));
+}
+
+// The norms' write loop, 8 floats per step: sub, mul, mul, add in
+// NormalizeF32Portable's order. vmaxps(v, 0) returns its second operand
+// unless v > 0, which is EpiRelu's `v > 0 ? v : +0` also for NaN and -0.
+// The last n % 8 floats go through one masked load and store, so the 9-
+// and 36-float planes of 3x3 and 6x6 maps stay vector code.
+template <bool kRelu>
+void NormalizeF32Avx2(const float* x, float* y, int64_t n, float mean,
+                      float inv_std, float gam, float bet) {
+  const __m256 vmean = _mm256_set1_ps(mean);
+  const __m256 vinv = _mm256_set1_ps(inv_std);
+  const __m256 vgam = _mm256_set1_ps(gam);
+  const __m256 vbet = _mm256_set1_ps(bet);
+  const auto norm = [&](__m256 v) {
+    const __m256 h = _mm256_mul_ps(_mm256_sub_ps(v, vmean), vinv);
+    const __m256 o = _mm256_add_ps(_mm256_mul_ps(vgam, h), vbet);
+    return kRelu ? _mm256_max_ps(o, _mm256_setzero_ps()) : o;
+  };
+  int64_t p = 0;
+  for (; p + 8 <= n; p += 8) {
+    _mm256_storeu_ps(y + p, norm(_mm256_loadu_ps(x + p)));
+  }
+  if (p < n) {
+    const __m256i mask = FirstLanes8(n - p);
+    _mm256_maskstore_ps(y + p, mask, norm(_mm256_maskload_ps(x + p, mask)));
+  }
+}
+
+// 2x2 / stride-2 max pool, 4 outputs per step. The 8 input columns of a
+// step split into even and odd taps; each tap folds in as
+// _mm_max_ps(tap, best), which keeps best unless tap > best — the scalar
+// `if (v > best) best = v`, in the scalar tap order, from -inf. The last
+// ow % 4 outputs read their 2, 4 or 6 columns through masked loads.
+void MaxPool2x2Avx2(const float* x, int64_t planes, int64_t h, int64_t w,
+                    float* out) {
+  const int64_t oh = h / 2, ow = w / 2;
+  const int64_t full = ow - ow % 4, rem = ow % 4;
+  const __m128i lo_mask = FirstLanes4(2 * rem);
+  const __m128i hi_mask = FirstLanes4(2 * rem - 4);
+  const __m128i out_mask = FirstLanes4(rem);
+  const __m128 ninf = _mm_set1_ps(-std::numeric_limits<float>::infinity());
+  // Folds one input row's taps into best: lo and hi hold its 8 columns,
+  // the even ones are the (., 0) taps of 4 outputs, the odd ones (., 1).
+  const auto fold = [](__m128 best, __m128 lo, __m128 hi) {
+    best = _mm_max_ps(_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)), best);
+    return _mm_max_ps(_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)), best);
+  };
+  for (int64_t img = 0; img < planes; ++img) {
+    const float* src = x + img * h * w;
+    float* dst = out + img * oh * ow;
+    for (int64_t oi = 0; oi < oh; ++oi) {
+      const float* r0 = src + 2 * oi * w;
+      const float* r1 = r0 + w;
+      float* d = dst + oi * ow;
+      for (int64_t oj = 0; oj < full; oj += 4) {
+        const int64_t c = 2 * oj;
+        const __m128 top =
+            fold(ninf, _mm_loadu_ps(r0 + c), _mm_loadu_ps(r0 + c + 4));
+        _mm_storeu_ps(d + oj, fold(top, _mm_loadu_ps(r1 + c),
+                                   _mm_loadu_ps(r1 + c + 4)));
+      }
+      if (rem > 0) {
+        const int64_t c = 2 * full;
+        const auto fold_tail = [&](__m128 best, const float* r) {
+          const __m128 hi = rem > 2 ? _mm_maskload_ps(r + c + 4, hi_mask)
+                                    : _mm_setzero_ps();
+          return fold(best, _mm_maskload_ps(r + c, lo_mask), hi);
+        };
+        _mm_maskstore_ps(d + full, out_mask,
+                         fold_tail(fold_tail(ninf, r0), r1));
+      }
+    }
   }
 }
 
@@ -784,6 +870,26 @@ SumSqF32Fn Avx2SumSqF32() {
   return supported ? &SumSqF32Avx2 : nullptr;
 }
 
+NormalizeF32Fn Avx2NormalizeF32(EpiAct act) {
+  static const bool supported = __builtin_cpu_supports("avx2");
+  if (!supported) return nullptr;
+  switch (act) {
+    case EpiAct::kRelu:
+      return &NormalizeF32Avx2<true>;
+    case EpiAct::kNone:
+      return &NormalizeF32Avx2<false>;
+    case EpiAct::kSigmoid:
+    case EpiAct::kTanh:
+      break;
+  }
+  return nullptr;
+}
+
+MaxPool2x2Fn Avx2MaxPool2x2() {
+  static const bool supported = __builtin_cpu_supports("avx2");
+  return supported ? &MaxPool2x2Avx2 : nullptr;
+}
+
 }  // namespace detail
 }  // namespace ops
 }  // namespace ms
@@ -811,6 +917,10 @@ U7ColumnsFn Avx2QuantizeColumnsU7() { return nullptr; }
 Int8EpilogueFn Avx2Int8Epilogue() { return nullptr; }
 
 SumSqF32Fn Avx2SumSqF32() { return nullptr; }
+
+NormalizeF32Fn Avx2NormalizeF32(EpiAct) { return nullptr; }
+
+MaxPool2x2Fn Avx2MaxPool2x2() { return nullptr; }
 
 }  // namespace detail
 }  // namespace ops

@@ -1,8 +1,11 @@
 // Private interface between the GEMM driver (gemm.cc), the optional
-// AVX2/FMA microkernel translation unit (gemm_avx2.cc, compiled with
-// -mavx2 -mfma only when CMake's feature check passes), and the prepacked
-// operand cache (prepack.cc), which reuses the same panel layout and
-// microkernels so prepacked results stay bitwise-equal to Gemm.
+// AVX2/FMA translation unit (gemm_avx2.cc, compiled with -mavx2 -mfma only
+// when CMake's feature check passes), the prepacked operand cache
+// (prepack.cc), which reuses the same panel layout and microkernels so
+// prepacked results stay bitwise-equal to Gemm, and the int8, norm and
+// pool loops that have an AVX2 twin. Every twin returns the bits of its
+// portable loop; the library builds with -ffp-contract=off so that a
+// mul+add pair stays two roundings in both.
 #ifndef MODELSLICING_TENSOR_GEMM_INTERNAL_H_
 #define MODELSLICING_TENSOR_GEMM_INTERNAL_H_
 
@@ -142,21 +145,27 @@ struct U7Columns {
 /// of codes, aeff and amineff (so disjoint ranges may run in parallel).
 using U7ColumnsFn = void (*)(const U7Columns& job, int64_t i0, int64_t i1);
 
-/// The portable flavor: one pixel at a time, strided reads.
+/// The portable flavor: a row-major sweep that keeps running min/max
+/// arrays over the wide grid, then encodes one row at a time.
 void QuantizeColumnsU7(const U7Columns& job, int64_t i0, int64_t i1);
 
 /// Dequant epilogue for one (row-chunk, segment) pair of a 16-column
 /// panel: ftile[i*16+c] += gs[c] * (as[i]*acc[i*16+c] + amin[i]*gsum[c])
-/// for i < mc. Multiplies and adds in the same order as the scalar loop
-/// (no fma contraction), so the flavors stay bitwise interchangeable.
+/// for i < mc, each mul and add rounded on its own in that order.
 using Int8EpilogueFn = void (*)(int mc, const int32_t* acc,
                                 const float* gs, const int32_t* gsum,
                                 const float* as, const float* amin,
                                 float* ftile);
 
+/// The portable flavor of the dequant epilogue (and the oracle of the
+/// AVX2 one).
+void Int8EpiloguePortable(int mc, const int32_t* acc, const float* gs,
+                          const int32_t* gsum, const float* as,
+                          const float* amin, float* ftile);
+
 /// AVX2 flavors of the activation-quantization loops above (the portable
-/// TU can't vectorize them: fp min/max reductions need fast-math and
-/// lrintf stays a scalar call). nullptr when AVX2 is compiled out or
+/// TU can't vectorize them: fp min/max reductions need fast-math and the
+/// clamped rounding stays scalar). nullptr when AVX2 is compiled out or
 /// unavailable at runtime.
 MinMaxF32Fn Avx2MinMaxF32();
 EncodeU7Fn Avx2EncodeU7();
@@ -175,9 +184,46 @@ Int8EpilogueFn Avx2Int8Epilogue();
 using SumSqF32Fn = void (*)(const float* v, int64_t n, double* sum,
                             double* sumsq);
 
+/// The portable flavor: the same 4-lane decomposition in plain loops.
+void SumSqF32Portable(const float* v, int64_t n, double* sum, double* sumsq);
+
 /// AVX2 flavor of the statistics reduction (4 packed-double lanes per
 /// accumulator), or nullptr when AVX2 is compiled out or unavailable.
 SumSqF32Fn Avx2SumSqF32();
+
+/// The flavor the norms run: AVX2 when available, else portable.
+SumSqF32Fn ActiveSumSqF32();
+
+/// y[p] = act(gam * ((x[p] - mean) * inv_std) + bet) for n contiguous
+/// floats: the GroupNorm/BatchNorm inference write loop. The sub, the two
+/// muls and the add round one by one, in that order (the training
+/// forward's expressions), and act is EpiActApplyCT's.
+using NormalizeF32Fn = void (*)(const float* x, float* y, int64_t n,
+                                float mean, float inv_std, float gam,
+                                float bet);
+
+/// The portable loop for `act` (and the oracle of the AVX2 one).
+NormalizeF32Fn NormalizeF32Portable(EpiAct act);
+
+/// AVX2 flavor for kRelu and kNone: 8 floats per step, ReLU as
+/// max(v, 0), a masked tail. nullptr for kSigmoid/kTanh, or when AVX2 is
+/// compiled out or unavailable.
+NormalizeF32Fn Avx2NormalizeF32(EpiAct act);
+
+/// The flavor the norms run for `act`.
+NormalizeF32Fn ActiveNormalizeF32(EpiAct act);
+
+/// 2x2 / stride-2 max pool over `planes` contiguous (h, w) planes into
+/// (h/2, w/2) planes (h, w >= 2). Each output folds its taps from -inf in
+/// the order (0,0), (0,1), (1,0), (1,1) as `if (v > best) best = v`, so
+/// ties keep the earlier tap and a NaN never wins.
+using MaxPool2x2Fn = void (*)(const float* x, int64_t planes, int64_t h,
+                              int64_t w, float* out);
+
+/// AVX2 flavor (even/odd column deinterleave, 4 outputs per step, masked
+/// tail), or nullptr when AVX2 is compiled out or unavailable. The
+/// portable twin is MaxPool2dPlanes's generic loop.
+MaxPool2x2Fn Avx2MaxPool2x2();
 
 /// The kernel Gemm dispatches to in this process (AVX2 when available,
 /// else the portable 4x8). Prepacked buffers are laid out for this

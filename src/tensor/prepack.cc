@@ -1,6 +1,6 @@
 // Prepacked-operand cache. See prepack.h for the layout/staleness story.
-// Compiled with -ffp-contract=off like gemm.cc: the skinny fallback and
-// merge loops here must keep the exact mul+add sequence of the portable
+// The library builds with -ffp-contract=off: the skinny fallback and merge
+// loops here must keep the exact mul+add sequence of the portable
 // reference on any -march.
 #include "src/tensor/prepack.h"
 

@@ -59,10 +59,20 @@ inline int8_t QuantizeValue(float v, float inv_scale) {
 
 /// Asymmetric round-to-nearest activation quantization to 7 bits: code =
 /// clamp(lrintf((v - lo) * inv_scale), 0, 127). The [0, 127] bound is the
-/// saturation-freedom invariant the maddubs kernel relies on.
+/// saturation-freedom invariant the maddubs kernel relies on. Computed
+/// without the out-of-line libm call: inside (0, 127), adding and
+/// subtracting 1.5 * 2^23 rounds to an integer in the current rounding
+/// mode, as lrintf does; the clamp decides everything else. lrintf's
+/// out-of-range result (x >= 2^63, +inf, NaN) is LONG_MIN on x86-64 and
+/// clamps to 0.
 inline uint8_t QuantizeValueU7(float v, float lo, float inv_scale) {
-  const long q = std::lrintf((v - lo) * inv_scale);
-  return static_cast<uint8_t>(q < 0 ? 0 : (q > 127 ? 127 : q));
+  const float x = (v - lo) * inv_scale;
+  if (!(x > 0.0f)) return 0;
+  if (x < 127.0f) {
+    constexpr float kRound = 12582912.0f;
+    return static_cast<uint8_t>((x + kRound) - kRound);
+  }
+  return x < 0x1p63f ? 127 : 0;
 }
 
 /// Portable int8 kernel: the exact integer contraction of
@@ -98,6 +108,14 @@ detail::Int8SkinnyFn ActiveInt8Kernel() {
     }
     const detail::Int8SkinnyFn avx2 = detail::Avx2Int8Kernel();
     return avx2 != nullptr ? avx2 : &Int8SkinnyPortable;
+  }();
+  return fn;
+}
+
+detail::Int8EpilogueFn ActiveInt8Epilogue() {
+  static const detail::Int8EpilogueFn fn = [] {
+    const detail::Int8EpilogueFn avx2 = detail::Avx2Int8Epilogue();
+    return avx2 != nullptr ? avx2 : &detail::Int8EpiloguePortable;
   }();
   return fn;
 }
@@ -251,28 +269,69 @@ int64_t ActiveSegments(const std::vector<int64_t>& seg_ends, int64_t k) {
 namespace detail {
 
 void QuantizeColumnsU7(const U7Columns& job, int64_t i0, int64_t i1) {
+  if (i0 >= i1) return;
   const ColsView& b = job.b;
-  for (int64_t i = i0; i < i1; ++i) {
+  const auto wide = [&](int64_t i) {
     const int64_t oi = i / b.out_w;
-    const int64_t q = oi * b.pitch + (i - oi * b.out_w);
-    float lo = b.row(0)[q], hi = lo;
-    for (int64_t p = 1; p < job.k; ++p) {
-      const float v = b.row(p)[q];
-      lo = lo < v ? lo : v;
-      hi = hi > v ? hi : v;
-    }
-    const float scale = (hi - lo) / 127.0f;
-    job.aeff[i] = job.alpha * scale;
-    job.amineff[i] = job.alpha * lo;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    uint8_t* row = job.codes + i * job.row_bytes;
-    for (int64_t t = 0; t < job.quads; ++t) {
-      for (int u = 0; u < 4; ++u) {
-        row[4 * t + u] =
-            u < job.quad_rows[t]
-                ? QuantizeValueU7(b.row(job.quad_first[t] + u)[q], lo, inv)
-                : uint8_t{0};
+    return oi * b.pitch + (i - oi * b.out_w);
+  };
+  const int64_t q0 = wide(i0), span = wide(i1 - 1) + 1 - q0;
+  // fn(i, q) for pixels [i0, i1) in order, q the pixel's wide-grid column
+  // relative to q0.
+  const auto each_pixel = [&](auto&& fn) {
+    for (int64_t i = i0, oj = i0 % b.out_w, q = 0; i < i1; ++i, ++oj, ++q) {
+      if (oj == b.out_w) {
+        oj = 0;
+        q += b.pitch - b.out_w;
       }
+      fn(i, q);
+    }
+  };
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(arena);
+  float* lo = arena.Alloc(span);
+  float* hi = arena.Alloc(span);
+  // Running min/max over the wide grid, one contiguous row at a time; the
+  // junk columns between output rows ride along unused.
+  std::copy(b.row(0) + q0, b.row(0) + q0 + span, lo);
+  std::copy(b.row(0) + q0, b.row(0) + q0 + span, hi);
+  for (int64_t p = 1; p < job.k; ++p) {
+    const float* r = b.row(p) + q0;
+    for (int64_t q = 0; q < span; ++q) {
+      lo[q] = lo[q] < r[q] ? lo[q] : r[q];
+      hi[q] = hi[q] > r[q] ? hi[q] : r[q];
+    }
+  }
+  float* inv = hi;  // hi is dead once the pixel's scale is known
+  each_pixel([&](int64_t i, int64_t q) {
+    const float scale = (hi[q] - lo[q]) / 127.0f;
+    job.aeff[i] = job.alpha * scale;
+    job.amineff[i] = job.alpha * lo[q];
+    inv[q] = scale > 0.0f ? 1.0f / scale : 0.0f;
+  });
+  for (int64_t t = 0; t < job.quads; ++t) {
+    for (int u = 0; u < 4; ++u) {
+      uint8_t* codes = job.codes + 4 * t + u;
+      if (u >= job.quad_rows[t]) {
+        each_pixel([&](int64_t i, int64_t) { codes[i * job.row_bytes] = 0; });
+        continue;
+      }
+      const float* r = b.row(job.quad_first[t] + u) + q0;
+      each_pixel([&](int64_t i, int64_t q) {
+        codes[i * job.row_bytes] = QuantizeValueU7(r[q], lo[q], inv[q]);
+      });
+    }
+  }
+}
+
+void Int8EpiloguePortable(int mc, const int32_t* acc, const float* gs,
+                          const int32_t* gsum, const float* as,
+                          const float* amin, float* ftile) {
+  for (int i = 0; i < mc; ++i) {
+    for (int c = 0; c < kQNr; ++c) {
+      ftile[i * kQNr + c] +=
+          gs[c] * (as[i] * static_cast<float>(acc[i * kQNr + c]) +
+                   amin[i] * static_cast<float>(gsum[c]));
     }
   }
 }
@@ -428,7 +487,7 @@ void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
   const int64_t panel_bytes = row_bytes * kQNr;
   const int64_t n_panels = detail::CeilDiv(n, kQNr);
   const detail::Int8SkinnyFn kernel = ActiveInt8Kernel();
-  const detail::Int8EpilogueFn epilogue = detail::Avx2Int8Epilogue();
+  const detail::Int8EpilogueFn epilogue = ActiveInt8Epilogue();
 
   ScratchArena& arena = ScratchArena::ForThread();
   ScratchArena::Scope scope(arena);
@@ -466,19 +525,7 @@ void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
                  panel + off * 4 * kQNr, acc);
           const float* gs = pscales + g * kQNr;
           const int32_t* gsum = psums + g * kQNr;
-          if (epilogue != nullptr) {
-            epilogue(mc, acc, gs, gsum, aeff + i0, amineff + i0, ftile);
-            continue;
-          }
-          for (int i = 0; i < mc; ++i) {
-            const float as = aeff[i0 + i];
-            const float amin = amineff[i0 + i];
-            for (int cc = 0; cc < kQNr; ++cc) {
-              ftile[i * kQNr + cc] +=
-                  gs[cc] * (as * static_cast<float>(acc[i * kQNr + cc]) +
-                            amin * static_cast<float>(gsum[cc]));
-            }
-          }
+          epilogue(mc, acc, gs, gsum, aeff + i0, amineff + i0, ftile);
         }
         for (int i = 0; i < mc; ++i) {
           float* crow = c + (i0 + i) * ldc + j0;
@@ -532,7 +579,7 @@ void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
   const int64_t panel_bytes = row_bytes * kQNr;
   const int64_t m_panels = detail::CeilDiv(m, kQNr);
   const detail::Int8SkinnyFn kernel = ActiveInt8Kernel();
-  const detail::Int8EpilogueFn epilogue = detail::Avx2Int8Epilogue();
+  const detail::Int8EpilogueFn epilogue = ActiveInt8Epilogue();
   const detail::Transpose8ColFn tpose = detail::Avx2Transpose8Col();
 
   ScratchArena& arena = ScratchArena::ForThread();
@@ -572,19 +619,7 @@ void GemmQuantizedWeightA(int64_t m, int64_t k, const QuantizedPack& wpack_t,
                  panel + off * 4 * kQNr, acc);
           const float* gs = pscales + g * kQNr;
           const int32_t* gsum = psums + g * kQNr;
-          if (epilogue != nullptr) {
-            epilogue(mc, acc, gs, gsum, beff + i0, bmineff + i0, ftile);
-            continue;
-          }
-          for (int i = 0; i < mc; ++i) {
-            const float bs = beff[i0 + i];
-            const float bmin = bmineff[i0 + i];
-            for (int cc = 0; cc < kQNr; ++cc) {
-              ftile[i * kQNr + cc] +=
-                  gs[cc] * (bs * static_cast<float>(acc[i * kQNr + cc]) +
-                            bmin * static_cast<float>(gsum[cc]));
-            }
-          }
+          epilogue(mc, acc, gs, gsum, beff + i0, bmineff + i0, ftile);
         }
         // Transposed merge: ftile rows are pixels, lanes are W rows (C's
         // rows): C[j0+cc][i0+i] = ftile[i][cc]. Full 8x8 blocks of the

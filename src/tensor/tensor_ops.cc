@@ -5,6 +5,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/tensor/gemm_internal.h"
+
 namespace ms {
 namespace ops {
 
@@ -128,8 +130,10 @@ void AvgPool2dBackward(const Tensor& grad_out, int64_t n, int64_t c,
 namespace {
 
 // Window maximum per output of `planes` (H, W) planes; records the
-// winning spatial index when kArgmax. Both forms compare in the same
-// order, so ties keep the earlier element and a NaN never wins.
+// winning spatial index when kArgmax. Both forms fold the taps in the
+// same order as `if (v > best)`, written as selects so the data-dependent
+// compare is no branch: ties keep the earlier element and a NaN never
+// wins.
 template <bool kArgmax>
 void MaxPoolPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
                    int64_t kernel, int64_t stride, float* out,
@@ -146,9 +150,11 @@ void MaxPoolPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
         for (int64_t ki = 0; ki < kernel; ++ki) {
           for (int64_t kj = 0; kj < kernel; ++kj) {
             const int64_t idx = (oi * stride + ki) * w + (oj * stride + kj);
-            if (src[idx] > best) {
-              best = src[idx];
-              if constexpr (kArgmax) best_idx = static_cast<int32_t>(idx);
+            const float v = src[idx];
+            const bool take = v > best;
+            best = take ? v : best;
+            if constexpr (kArgmax) {
+              best_idx = take ? static_cast<int32_t>(idx) : best_idx;
             }
           }
         }
@@ -174,6 +180,11 @@ void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
 
 void MaxPool2dPlanes(const float* x, int64_t planes, int64_t h, int64_t w,
                      int64_t kernel, int64_t stride, float* out) {
+  static const detail::MaxPool2x2Fn pool2x2 = detail::Avx2MaxPool2x2();
+  if (kernel == 2 && stride == 2 && pool2x2 != nullptr) {
+    pool2x2(x, planes, h, w, out);
+    return;
+  }
   MaxPoolPlanes<false>(x, planes, h, w, kernel, stride, out, nullptr);
 }
 
@@ -271,6 +282,78 @@ void ArgmaxRows(const Tensor& m, int64_t rows, int64_t cols,
     (*out)[static_cast<size_t>(r)] = best;
   }
 }
+
+namespace detail {
+
+// Lane j accumulates elements p ≡ j mod 4, the lanes fold pairwise, the
+// scalar tail comes last: SumSqF32Avx2's decomposition, so the two
+// flavors produce the same doubles bit for bit.
+void SumSqF32Portable(const float* v, int64_t n, double* sum, double* sumsq) {
+  double s[4] = {0.0, 0.0, 0.0, 0.0};
+  double q[4] = {0.0, 0.0, 0.0, 0.0};
+  int64_t p = 0;
+  for (; p + 4 <= n; p += 4) {
+    for (int j = 0; j < 4; ++j) {
+      const double x = static_cast<double>(v[p + j]);
+      s[j] += x;
+      q[j] += x * x;
+    }
+  }
+  double ts = (s[0] + s[1]) + (s[2] + s[3]);
+  double tq = (q[0] + q[1]) + (q[2] + q[3]);
+  for (; p < n; ++p) {
+    const double x = static_cast<double>(v[p]);
+    ts += x;
+    tq += x * x;
+  }
+  *sum = ts;
+  *sumsq = tq;
+}
+
+SumSqF32Fn ActiveSumSqF32() {
+  static const SumSqF32Fn fn = [] {
+    const SumSqF32Fn avx2 = Avx2SumSqF32();
+    return avx2 != nullptr ? avx2 : &SumSqF32Portable;
+  }();
+  return fn;
+}
+
+namespace {
+
+// The activation is resolved at compile time so the loop stays
+// branch-free.
+template <EpiAct Act>
+void NormalizePlane(const float* __restrict__ x, float* __restrict__ y,
+                    int64_t n, float mean, float inv_std, float gam,
+                    float bet) {
+  for (int64_t p = 0; p < n; ++p) {
+    const float h = (x[p] - mean) * inv_std;
+    y[p] = EpiActApplyCT<Act>(gam * h + bet);
+  }
+}
+
+}  // namespace
+
+NormalizeF32Fn NormalizeF32Portable(EpiAct act) {
+  switch (act) {
+    case EpiAct::kRelu:
+      return &NormalizePlane<EpiAct::kRelu>;
+    case EpiAct::kSigmoid:
+      return &NormalizePlane<EpiAct::kSigmoid>;
+    case EpiAct::kTanh:
+      return &NormalizePlane<EpiAct::kTanh>;
+    case EpiAct::kNone:
+      break;
+  }
+  return &NormalizePlane<EpiAct::kNone>;
+}
+
+NormalizeF32Fn ActiveNormalizeF32(EpiAct act) {
+  const NormalizeF32Fn avx2 = Avx2NormalizeF32(act);
+  return avx2 != nullptr ? avx2 : NormalizeF32Portable(act);
+}
+
+}  // namespace detail
 
 }  // namespace ops
 }  // namespace ms

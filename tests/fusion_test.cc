@@ -21,7 +21,7 @@
 //
 // This TU applies detail::EpiApply as a reference post-pass; its
 // scale-shift is a contractible mul+add, so tests/CMakeLists.txt compiles
-// this file with -ffp-contract=off (matching gemm.cc/prepack.cc/quant.cc).
+// this file with -ffp-contract=off (matching the library).
 #include <cmath>
 #include <cstring>
 #include <memory>

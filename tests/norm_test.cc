@@ -1,8 +1,13 @@
 // Behavioural tests for normalization layers under slicing (paper Sec. 3.2).
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/nn/norm.h"
+#include "src/tensor/gemm_internal.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -198,6 +203,137 @@ TEST(MultiBatchNorm, NearestRateSelection) {
   // The selected BN was configured at its own rate; verify forward works.
   Tensor y = mbn.Forward(x, true);
   EXPECT_EQ(y.dim(1), 4);
+}
+
+bool SameBits(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+// The statistics reduction, AVX2 against the portable twin: the same
+// doubles bit for bit at every length (whole 4-lane steps and scalar
+// tails) and over magnitudes that make the lane order matter.
+TEST(NormKernels, Avx2SumSqMatchesPortableBitwise) {
+  const ops::detail::SumSqF32Fn vec = ops::detail::Avx2SumSqF32();
+  if (vec == nullptr) GTEST_SKIP() << "no AVX2 statistics reduction here";
+  Rng rng(40);
+  for (int64_t n = 0; n <= 70; ++n) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      const float scale = i % 7 == 0 ? 1e20f : (i % 5 == 0 ? 1e-30f : 3.0f);
+      v[static_cast<size_t>(i)] =
+          static_cast<float>(rng.Uniform(-1.0, 1.0)) * scale;
+    }
+    double s[2], q[2];
+    ops::detail::SumSqF32Portable(v.data(), n, &s[0], &q[0]);
+    vec(v.data(), n, &s[1], &q[1]);
+    EXPECT_EQ(0, std::memcmp(&s[0], &s[1], sizeof(double))) << "n " << n;
+    EXPECT_EQ(0, std::memcmp(&q[0], &q[1], sizeof(double))) << "n " << n;
+  }
+}
+
+// The normalize sweep, AVX2 against the portable loop, bit for bit: every
+// plane length 1..40 (whole vectors, masked tails, planes shorter than a
+// vector), NaN, +-0, +-inf and subnormal inputs, negative gamma, and no
+// write past the plane. Sigmoid and tanh keep the portable loop.
+TEST(NormKernels, Avx2NormalizeMatchesPortableBitwise) {
+  using ops::EpiAct;
+  using ops::detail::NormalizeF32Fn;
+  if (ops::detail::Avx2NormalizeF32(EpiAct::kRelu) == nullptr) {
+    GTEST_SKIP() << "no AVX2 normalize here";
+  }
+  EXPECT_EQ(ops::detail::Avx2NormalizeF32(EpiAct::kSigmoid), nullptr);
+  EXPECT_EQ(ops::detail::Avx2NormalizeF32(EpiAct::kTanh), nullptr);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            0.0f, -0.0f, inf, -inf, 1e-40f, -1e-40f,
+                            std::numeric_limits<float>::denorm_min()};
+  struct Affine {
+    float mean, inv_std, gam, bet;
+  };
+  const Affine affines[] = {{0.3f, 1.7f, 1.0f, 0.0f},
+                            {-2.0f, 0.25f, -1.5f, 0.75f},
+                            {0.0f, 1.0f, -1.0f, -0.0f},
+                            {1e-40f, 3e37f, -0.5f, 1e-39f}};
+  Rng rng(41);
+  for (EpiAct act : {EpiAct::kNone, EpiAct::kRelu}) {
+    const NormalizeF32Fn vec = ops::detail::Avx2NormalizeF32(act);
+    const NormalizeF32Fn ref = ops::detail::NormalizeF32Portable(act);
+    EXPECT_EQ(ops::detail::ActiveNormalizeF32(act), vec);
+    for (int64_t n = 1; n <= 40; ++n) {
+      for (const Affine& a : affines) {
+        for (int pattern = 0; pattern < 2; ++pattern) {
+          std::vector<float> x(static_cast<size_t>(n));
+          for (int64_t i = 0; i < n; ++i) {
+            x[static_cast<size_t>(i)] =
+                pattern == 1 && i % 2 == 0
+                    ? specials[static_cast<size_t>(i / 2) % 9]
+                    : static_cast<float>(rng.Uniform(-4.0, 4.0));
+          }
+          std::vector<float> y[2];
+          for (int f = 0; f < 2; ++f) {
+            y[f].assign(static_cast<size_t>(n + 8), -7.0f);
+            (f == 0 ? ref : vec)(x.data(), y[f].data(), n, a.mean, a.inv_std,
+                                 a.gam, a.bet);
+          }
+          EXPECT_TRUE(SameBits(y[0].data(), y[1].data(), n + 8))
+              << "act " << static_cast<int>(act) << " n " << n << " gam "
+              << a.gam << " pattern " << pattern;
+        }
+      }
+    }
+  }
+  // ReLU maps NaN and -0 to +0, as EpiRelu does.
+  const float in[2] = {std::numeric_limits<float>::quiet_NaN(), -0.0f};
+  float out[2] = {1.0f, 1.0f};
+  ops::detail::Avx2NormalizeF32(EpiAct::kRelu)(in, out, 2, 0.0f, 1.0f, 1.0f,
+                                               0.0f);
+  const float zeros[2] = {0.0f, 0.0f};
+  EXPECT_TRUE(SameBits(out, zeros, 2));
+}
+
+// The norms' inference sweep (statistics, normalize and the fused
+// activation, whichever flavor runs) equals the training forward followed
+// by the activation, bit for bit, on the 12x12, 6x6 and 3x3 maps of the
+// zoo CNNs. One training step with momentum 1 makes BatchNorm's running
+// statistics exactly the batch statistics the training forward used.
+TEST(NormKernels, InferenceEqualsTrainingForwardThenActivation) {
+  using ops::EpiAct;
+  Rng rng(42);
+  NormOptions opts;
+  opts.channels = 8;
+  opts.groups = 4;
+  opts.momentum = 1.0f;
+  const auto check = [&](auto& norm, const Tensor& x, EpiAct act,
+                         const std::string& at) {
+    std::vector<ParamRef> params;
+    norm.CollectParams(&params);
+    for (const ParamRef& p : params) {
+      for (int64_t c = 0; c < p.param->size(); ++c) {
+        (*p.param)[c] = static_cast<float>(rng.Uniform(-2.0, 2.0));
+      }
+    }
+    norm.SetFusedActivation(act);
+    Tensor expect = norm.Forward(x, /*training=*/true);
+    for (int64_t i = 0; i < expect.size(); ++i) {
+      expect[i] = ops::detail::EpiActApply(act, expect[i]);
+    }
+    const Tensor y = norm.Forward(x, /*training=*/false);
+    ASSERT_EQ(y.shape(), expect.shape());
+    EXPECT_TRUE(SameBits(y.data(), expect.data(), y.size())) << at;
+  };
+  for (int64_t hw : {12, 6, 3}) {
+    const Tensor x = Tensor::Randn({3, 8, hw, hw}, &rng, 2.0f);
+    for (EpiAct act : {EpiAct::kNone, EpiAct::kRelu, EpiAct::kSigmoid,
+                       EpiAct::kTanh}) {
+      const std::string at = std::to_string(hw) + "x" + std::to_string(hw) +
+                             " act " + std::to_string(static_cast<int>(act));
+      GroupNorm gn(opts);
+      check(gn, x, act, "GroupNorm " + at);
+      BatchNorm bn(opts);
+      check(bn, x, act, "BatchNorm " + at);
+    }
+  }
 }
 
 }  // namespace

@@ -483,6 +483,41 @@ TEST(QuantColumns, VectorFlavorMatchesScalarBitwise) {
   }
 }
 
+// The dequant epilogue, AVX2 against the portable loop: identical bits
+// on random tiles (accumulators of either sign up to the kernel's range,
+// scales across magnitudes, every chunk height). A contracted mul+add in
+// either flavor shows up here as ulp-level mismatches on most tiles.
+TEST(QuantEpilogue, Avx2MatchesPortableBitwise) {
+  const ops::detail::Int8EpilogueFn vec = ops::detail::Avx2Int8Epilogue();
+  if (vec == nullptr) GTEST_SKIP() << "no AVX2 dequant epilogue here";
+  Rng rng(32);
+  constexpr int kRows = 32, kCols = 16;
+  alignas(64) int32_t acc[kRows * kCols];
+  float gs[kCols], as[kRows], amin[kRows];
+  int32_t gsum[kCols];
+  float ftile[2][kRows * kCols];
+  int mismatched = 0;
+  for (int tile = 0; tile < 1000; ++tile) {
+    const int mc = 1 + tile % kRows;
+    for (int i = 0; i < kRows * kCols; ++i) {
+      acc[i] = static_cast<int32_t>(rng.UniformInt(2 * 64516 + 1)) - 64516;
+      ftile[0][i] = ftile[1][i] = static_cast<float>(rng.Uniform(-8.0, 8.0));
+    }
+    for (int c = 0; c < kCols; ++c) {
+      gs[c] = static_cast<float>(rng.Uniform(1e-4, 1e-1));
+      gsum[c] = static_cast<int32_t>(rng.UniformInt(2 * 8128 + 1)) - 8128;
+    }
+    for (int i = 0; i < kRows; ++i) {
+      as[i] = static_cast<float>(rng.Uniform(1e-3, 1.0)) * (i % 3 ? 1 : 1e3f);
+      amin[i] = static_cast<float>(rng.Uniform(-5.0, 5.0));
+    }
+    ops::detail::Int8EpiloguePortable(mc, acc, gs, gsum, as, amin, ftile[0]);
+    vec(mc, acc, gs, gsum, as, amin, ftile[1]);
+    if (std::memcmp(ftile[0], ftile[1], sizeof(ftile[0])) != 0) ++mismatched;
+  }
+  EXPECT_EQ(mismatched, 0) << "of 1000 tiles";
+}
+
 TEST(QuantEnsure, CacheKeyAndGenerationSemantics) {
   ops::SetComputeThreads(1);
   Rng rng(31);

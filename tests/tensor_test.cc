@@ -1,7 +1,12 @@
 // Unit tests for the Tensor container and numeric kernels.
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/tensor/gemm_internal.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
@@ -180,6 +185,118 @@ TEST(Pooling, MaxPoolTracksArgmax) {
   ops::MaxPool2dBackward(g, argmax, 1, 4, 1, &gi);
   EXPECT_FLOAT_EQ(gi[1], 2.0f);
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
+}
+
+// Ties and NaN in the training pool (the argmax form) and the inference
+// pool: a tie keeps the earlier tap, -0 included; a NaN never wins; a
+// window of NaN alone reads -inf with argmax 0.
+TEST(Pooling, MaxPoolTiesAndNaNKeepTheEarlierTap) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  // Three 2x2 windows: {-0, +0 / NaN, +0}, {NaN x4}, {NaN, -inf / 3, 3}.
+  Tensor x = Tensor::FromVector({1, 1, 2, 6}, {-0.0f, 0.0f, nan, nan, nan,
+                                               -inf, nan, 0.0f, nan, nan,
+                                               3.0f, 3.0f});
+  Tensor y({1, 1, 1, 3});
+  std::vector<int32_t> argmax;
+  ops::MaxPool2d(x, 1, 1, 2, 6, 2, 2, &y, &argmax);
+  const float expect[3] = {-0.0f, -inf, 3.0f};
+  EXPECT_EQ(0, std::memcmp(y.data(), expect, sizeof(expect)));
+  EXPECT_EQ(argmax, (std::vector<int32_t>{0, 0, 10}));
+  float planes_out[3];
+  ops::MaxPool2dPlanes(x.data(), 1, 2, 6, 2, 2, planes_out);
+  EXPECT_EQ(0, std::memcmp(planes_out, expect, sizeof(expect)));
+}
+
+// The training pool's selects against the branch they replaced, over
+// random windows laced with NaN, -inf and signed zeros, at several kernel
+// and stride shapes: the same maxima bit for bit and the same argmax.
+TEST(Pooling, MaxPoolArgmaxMatchesBranchingReference) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::infinity(), 0.0f,
+                            -0.0f};
+  Rng rng(6);
+  const int64_t shapes[][4] = {{2, 2, 7, 6}, {3, 1, 7, 6}, {3, 2, 9, 8},
+                               {3, 3, 9, 9}, {1, 1, 4, 5}};
+  for (const auto& sh : shapes) {
+    const int64_t k = sh[0], st = sh[1], h = sh[2], w = sh[3], planes = 2;
+    const int64_t oh = (h - k) / st + 1, ow = (w - k) / st + 1;
+    Tensor x({1, planes, h, w});
+    for (int64_t i = 0; i < x.size(); ++i) {
+      x[i] = i % 3 == 0 ? specials[rng.UniformInt(4)]
+                        : static_cast<float>(rng.UniformInt(3));
+    }
+    Tensor y({1, planes, oh, ow});
+    std::vector<int32_t> argmax;
+    ops::MaxPool2d(x, 1, planes, h, w, k, st, &y, &argmax);
+    for (int64_t img = 0; img < planes; ++img) {
+      const float* src = x.data() + img * h * w;
+      for (int64_t o = 0; o < oh * ow; ++o) {
+        const int64_t oi = o / ow, oj = o % ow;
+        float best = -std::numeric_limits<float>::infinity();
+        int32_t best_idx = 0;
+        for (int64_t ki = 0; ki < k; ++ki) {
+          for (int64_t kj = 0; kj < k; ++kj) {
+            const int64_t idx = (oi * st + ki) * w + oj * st + kj;
+            if (src[idx] > best) {
+              best = src[idx];
+              best_idx = static_cast<int32_t>(idx);
+            }
+          }
+        }
+        const int64_t at = img * oh * ow + o;
+        EXPECT_EQ(0, std::memcmp(&best, y.data() + at, sizeof(float)))
+            << "k " << k << " stride " << st << " output " << at;
+        EXPECT_EQ(best_idx, argmax[static_cast<size_t>(at)]);
+      }
+    }
+  }
+}
+
+// The AVX2 2x2/stride-2 pool against the scalar loop (the argmax form
+// never dispatches to it), bit for bit: even and odd H and W, output rows
+// of whole 4-wide steps, masked tails of 1, 2 and 3, and rows that are
+// all tail; NaN, -inf and ties between +0 and -0; nothing written past
+// the output.
+TEST(Pooling, Avx2MaxPool2x2MatchesScalarBitwise) {
+  const ops::detail::MaxPool2x2Fn vec = ops::detail::Avx2MaxPool2x2();
+  if (vec == nullptr) GTEST_SKIP() << "no AVX2 pool here";
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::infinity(), 0.0f,
+                            -0.0f};
+  Rng rng(7);
+  const int64_t planes = 3;
+  for (int64_t h = 2; h <= 7; ++h) {
+    for (int64_t w = 2; w <= 19; ++w) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        Tensor x({1, planes, h, w});
+        for (int64_t i = 0; i < x.size(); ++i) {
+          const bool special = pattern == 2 || (pattern == 1 && i % 3 == 0);
+          x[i] = special ? specials[rng.UniformInt(4)]
+                         : static_cast<float>(rng.Uniform(-2.0, 2.0));
+        }
+        const int64_t oh = h / 2, ow = w / 2, n = planes * oh * ow;
+        Tensor ref({1, planes, oh, ow});
+        std::vector<int32_t> argmax;
+        ops::MaxPool2d(x, 1, planes, h, w, 2, 2, &ref, &argmax);
+        std::vector<float> got(static_cast<size_t>(n + 4), -7.0f);
+        vec(x.data(), planes, h, w, got.data());
+        const std::string at = std::to_string(h) + "x" + std::to_string(w) +
+                               " pattern " + std::to_string(pattern);
+        EXPECT_EQ(0, std::memcmp(got.data(), ref.data(),
+                                 static_cast<size_t>(n) * sizeof(float)))
+            << at;
+        for (int64_t g = n; g < n + 4; ++g) {
+          EXPECT_EQ(got[static_cast<size_t>(g)], -7.0f) << at;
+        }
+        std::vector<float> dispatched(static_cast<size_t>(n));
+        ops::MaxPool2dPlanes(x.data(), planes, h, w, 2, 2, dispatched.data());
+        EXPECT_EQ(0, std::memcmp(dispatched.data(), ref.data(),
+                                 static_cast<size_t>(n) * sizeof(float)))
+            << at;
+      }
+    }
+  }
 }
 
 TEST(Elementwise, AddScaleAxpy) {
