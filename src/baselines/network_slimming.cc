@@ -148,7 +148,9 @@ Result<SlimmingResult> RunNetworkSlimming(const SlimmingOptions& opts,
   Conv2d* pending_conv = nullptr;
   for (size_t i = 0; i < net->size(); ++i) {
     Module* child = net->child(i);
-    if (auto* conv = dynamic_cast<Conv2d*>(child)) {
+    // A grouped or depthwise conv is an unsupported layer, as below.
+    if (auto* conv = dynamic_cast<Conv2d*>(child);
+        conv != nullptr && conv->options().branches == 1) {
       MS_CHECK_MSG(pending_conv == nullptr, "conv without following norm");
       pending_conv = conv;
       continue;

@@ -6,8 +6,6 @@
 #include "src/nn/fusion.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/depthwise_conv.h"
-#include "src/nn/grouped_conv.h"
 #include "src/nn/norm.h"
 #include "src/nn/pooling.h"
 #include "src/nn/residual.h"
@@ -140,13 +138,14 @@ std::unique_ptr<Module> MakeResNeXtBlock(const CnnConfig& config,
                      config.multi_bn_rates, "n2_" + tag));
   body->Emplace<ReLU>();
   {
-    GroupedConv2dOptions g;
+    Conv2dOptions g;
     g.in_channels = mid;
     g.out_channels = mid;
     g.kernel = 3;
     g.pad = 1;
     g.groups = config.slice_groups;
-    body->Emplace<GroupedConv2d>(g, rng, "gc_" + tag);
+    g.branches = config.slice_groups;
+    body->Emplace<Conv2d>(g, rng, "gc_" + tag);
   }
   body->Add(MakeNorm(config.norm, mid, config.slice_groups,
                      config.multi_bn_rates, "n3_" + tag));
@@ -258,12 +257,14 @@ Result<std::unique_ptr<Sequential>> MakeMobileNetSmall(
       const std::string tag =
           "s" + std::to_string(s) + "b" + std::to_string(b);
       // Depthwise 3x3 over the current channels.
-      DepthwiseConv2dOptions dw;
-      dw.channels = in_ch;
+      Conv2dOptions dw;
+      dw.in_channels = in_ch;
+      dw.out_channels = in_ch;
       dw.kernel = 3;
       dw.pad = 1;
       dw.groups = config.slice_groups;
-      net->Emplace<DepthwiseConv2d>(dw, &rng, "dw_" + tag);
+      dw.branches = in_ch;
+      net->Emplace<Conv2d>(dw, &rng, "dw_" + tag);
       net->Add(MakeNorm(config.norm, in_ch, config.slice_groups,
                         config.multi_bn_rates, "dwn_" + tag));
       net->Emplace<ReLU>();

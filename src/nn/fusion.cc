@@ -3,8 +3,6 @@
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/depthwise_conv.h"
-#include "src/nn/grouped_conv.h"
 #include "src/nn/norm.h"
 #include "src/nn/residual.h"
 
@@ -20,14 +18,6 @@ bool PlantActivation(Module* producer, ops::EpiAct act) {
   }
   if (auto* c = dynamic_cast<Conv2d*>(producer)) {
     c->SetFusedActivation(act);
-    return true;
-  }
-  if (auto* g = dynamic_cast<GroupedConv2d*>(producer)) {
-    g->SetFusedActivation(act);
-    return true;
-  }
-  if (auto* dw = dynamic_cast<DepthwiseConv2d*>(producer)) {
-    dw->SetFusedActivation(act);
     return true;
   }
   if (auto* gn = dynamic_cast<GroupNorm*>(producer)) {

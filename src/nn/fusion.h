@@ -4,8 +4,8 @@
 // A Sequential child sequence like Conv2d -> GroupNorm -> ReLU becomes
 // "GroupNorm applies ReLU at its own write site; the ReLU module is
 // bypassed at inference". Producers that can absorb an activation are
-// Dense, Conv2d, GroupedConv2d, DepthwiseConv2d, GroupNorm, BatchNorm and
-// MultiBatchNorm; absorbable followers are ReLU and Tanh.
+// Dense, Conv2d (grouped and depthwise shapes included), GroupNorm,
+// BatchNorm and MultiBatchNorm; absorbable followers are ReLU and Tanh.
 //
 // The pass only *marks* modules: a producer applies its planted activation
 // at inference only, so training forwards (where the activation module

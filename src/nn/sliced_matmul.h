@@ -3,8 +3,10 @@
 // of W the kernels consume.
 //
 // W is a row-major (rows x cols) block — out features x in features for
-// Dense and the RNN gate blocks, out channels x in channels * k * k for the
-// convs — and a slice rate reads W[:n, :k]. Because every pack of W keeps
+// Dense and the RNN gate blocks, a branch's out channels x its in channels
+// * k * k for Conv2d — and a slice rate reads W[:n, :k]. A grouped conv
+// has one operator per branch; slicing keeps whole branches, so each is
+// used at full extents. Because every pack of W keeps
 // the full extents (prepack.h, quant.h), one pack per form serves every
 // rate as a prefix. The operator owns those packs:
 //   * the fp32 forward pack (W^T as the right operand, W as the left one),
@@ -34,7 +36,7 @@ class SlicedMatmul {
   /// Which side of the product W sits on.
   enum class Role : uint8_t {
     kRight,  ///< y = alpha * x . W^T   (Dense, Lstm, Gru)
-    kLeft,   ///< y = W . x             (Conv2d, GroupedConv2d; im2col x)
+    kLeft,   ///< y = W . x             (Conv2d, one per branch; im2col x)
   };
 
   SlicedMatmul() = default;

@@ -4,8 +4,6 @@
 
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/depthwise_conv.h"
-#include "src/nn/grouped_conv.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
@@ -19,8 +17,6 @@ namespace {
 std::string KindOf(const Module* m) {
   if (dynamic_cast<const Dense*>(m) != nullptr) return "dense";
   if (dynamic_cast<const Conv2d*>(m) != nullptr) return "conv2d";
-  if (dynamic_cast<const DepthwiseConv2d*>(m) != nullptr) return "dwconv";
-  if (dynamic_cast<const GroupedConv2d*>(m) != nullptr) return "gconv";
   if (dynamic_cast<const Lstm*>(m) != nullptr) return "lstm";
   if (dynamic_cast<const Gru*>(m) != nullptr) return "gru";
   if (dynamic_cast<const GroupNorm*>(m) != nullptr) return "groupnorm";

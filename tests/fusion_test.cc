@@ -35,9 +35,7 @@
 #include "src/nn/activations.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
-#include "src/nn/depthwise_conv.h"
 #include "src/nn/fusion.h"
-#include "src/nn/grouped_conv.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
 #include "src/nn/norm.h"
@@ -355,21 +353,22 @@ TEST(ActivationFootprint, InferenceForwardKeepsNoBackwardState) {
         &layer, Tensor::Randn({4, 24}, &rng), "Dense");
   }
   {
-    GroupedConv2dOptions opts;
+    Conv2dOptions opts;
     opts.in_channels = 8;
     opts.out_channels = 8;
     opts.groups = 4;
-    GroupedConv2d layer(opts, &rng);
+    opts.branches = 4;
+    Conv2d layer(opts, &rng);
     ExpectInferenceLeavesNothingLive(
-        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "GroupedConv2d");
+        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "grouped Conv2d");
   }
   {
-    DepthwiseConv2dOptions opts;
-    opts.channels = 8;
+    Conv2dOptions opts;
+    opts.in_channels = opts.out_channels = opts.branches = 8;
     opts.groups = 4;
-    DepthwiseConv2d layer(opts, &rng);
+    Conv2d layer(opts, &rng);
     ExpectInferenceLeavesNothingLive(
-        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "DepthwiseConv2d");
+        &layer, Tensor::Randn({2, 8, 6, 6}, &rng), "depthwise Conv2d");
   }
   {
     ReLU layer;
@@ -455,10 +454,6 @@ void ClearFusionMarks(Module* m) {
     d->SetFusedActivation(EpiAct::kNone);
   } else if (auto* c = dynamic_cast<Conv2d*>(m)) {
     c->SetFusedActivation(EpiAct::kNone);
-  } else if (auto* g = dynamic_cast<GroupedConv2d*>(m)) {
-    g->SetFusedActivation(EpiAct::kNone);
-  } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(m)) {
-    dw->SetFusedActivation(EpiAct::kNone);
   } else if (auto* gn = dynamic_cast<GroupNorm*>(m)) {
     gn->SetFusedActivation(EpiAct::kNone);
   } else if (auto* bn = dynamic_cast<BatchNorm*>(m)) {
@@ -622,83 +617,107 @@ TEST(ModelFusion, TrainingBiasInEpilogueEqualsSeparatePass) {
 // entry points bit for bit: Im2Col + GemmRef in fp32 (training, and
 // inference with the fused ReLU), Im2Col + GemmQuantizedWeightA in int8.
 // Covers batch, kernel, stride and padding, slice rates, two kMC bands of
-// output channels (96 > 64 at r = 1) and 1, 2 and 4 compute threads.
+// output channels (96 > 64 at r = 1) and 1, 2 and 4 compute threads. With
+// two branches, each branch's view starts at its own channels' planes
+// (phase planes at stride 2) and is checked against Im2Col of those
+// channels and the branch's rows of W.
 TEST(ConvForward, InPlaceIm2ColMatchesMaterialisedOracle) {
   GlobalStateGuard guard;
   Rng rng(620);
   constexpr int64_t kIn = 8, kOut = 96, kGroups = 4, kH = 7, kW = 6;
-  for (int64_t kernel : {1, 3}) {
-    for (int64_t stride : {1, 2}) {
-      for (int64_t pad : {0, 1}) {
-        Conv2dOptions o;
-        o.in_channels = kIn;
-        o.out_channels = kOut;
-        o.kernel = kernel;
-        o.stride = stride;
-        o.pad = pad;
-        o.groups = kGroups;
-        o.bias = true;
-        Conv2d conv(o, &rng);
-        for (int64_t c = 0; c < kOut; ++c) {
-          (*conv.mutable_bias())[c] = 0.05f * static_cast<float>(c % 7) - 0.1f;
-        }
-        conv.SetFusedActivation(EpiAct::kRelu);
-        const int64_t kk = kernel * kernel;
-        const int64_t ld_w = kIn * kk;
-        const SliceSpec spec(kIn, kGroups);
-        std::vector<int64_t> k_ends;
-        for (int64_t g = 1; g <= kGroups; ++g) {
-          k_ends.push_back(spec.GroupBoundary(g) * kk);
-        }
-        ops::QuantizedPack qpack;
-        ops::EnsureQuantizedB(true, ld_w, kOut, conv.weight().data(), ld_w,
-                              k_ends, &qpack);
-        const int64_t oh = (kH + 2 * pad - kernel) / stride + 1;
-        const int64_t ow = (kW + 2 * pad - kernel) / stride + 1;
-        const int64_t area = oh * ow;
-        for (int64_t batch : {1, 3}) {
-          for (double rate : {1.0, 0.5, 0.25}) {
-            conv.SetSliceRate(rate);
-            const int64_t ci = conv.active_in(), co = conv.active_out();
-            const int64_t taps = ci * kk;
-            Tensor x = Tensor::Randn({batch, ci, kH, kW}, &rng);
-            Tensor cols({taps, area});
-            Tensor want_train({batch, co, oh, ow});
-            Tensor want_infer({batch, co, oh, ow});
-            Tensor want_int8({batch, co, oh, ow});
-            for (int64_t img = 0; img < batch; ++img) {
-              ops::Im2Col(x.data() + img * ci * kH * kW, ci, kH, kW, kernel,
-                          stride, pad, cols.data());
-              const int64_t at = img * co * area;
-              Epilogue e;
-              e.bias = conv.bias().data();
-              e.per_row = true;
-              ops::GemmRef(false, false, co, area, taps, 1.0f,
-                           conv.weight().data(), ld_w, cols.data(), area,
-                           0.0f, want_train.data() + at, area, e);
-              e.act = EpiAct::kRelu;
-              ops::GemmRef(false, false, co, area, taps, 1.0f,
-                           conv.weight().data(), ld_w, cols.data(), area,
-                           0.0f, want_infer.data() + at, area, e);
-              ops::GemmQuantizedWeightA(co, area, taps, qpack, cols.data(),
-                                        area, 0.0f, want_int8.data() + at,
-                                        area, e);
+  for (int64_t branches : {1, 2}) {
+    for (int64_t kernel : {1, 3}) {
+      for (int64_t stride : {1, 2}) {
+        for (int64_t pad : {0, 1}) {
+          Conv2dOptions o;
+          o.in_channels = kIn;
+          o.out_channels = kOut;
+          o.kernel = kernel;
+          o.stride = stride;
+          o.pad = pad;
+          // Slicing groups fall on branch boundaries.
+          o.groups = branches == 1 ? kGroups : branches;
+          o.branches = branches;
+          o.bias = true;
+          Conv2d conv(o, &rng);
+          for (int64_t c = 0; c < kOut; ++c) {
+            (*conv.mutable_bias())[c] =
+                0.05f * static_cast<float>(c % 7) - 0.1f;
+          }
+          conv.SetFusedActivation(EpiAct::kRelu);
+          const int64_t kk = kernel * kernel;
+          const int64_t ld_w = kIn / branches * kk;
+          const int64_t rows_b = kOut / branches;
+          const SliceSpec spec(kIn, kGroups);
+          std::vector<int64_t> k_ends;
+          if (branches == 1) {
+            for (int64_t g = 1; g <= kGroups; ++g) {
+              k_ends.push_back(spec.GroupBoundary(g) * kk);
             }
-            const std::string where =
-                "k" + std::to_string(kernel) + " s" + std::to_string(stride) +
-                " p" + std::to_string(pad) + " b" + std::to_string(batch) +
-                " r" + std::to_string(rate);
-            for (int threads : {1, 2, 4}) {
-              ops::SetComputeThreads(threads);
-              const std::string at = where + " t" + std::to_string(threads);
-              conv.SetPrecision(Precision::kFp32);
-              ExpectBitwise(conv.Forward(x, /*training=*/true), want_train,
-                            ("fp32 training " + at).c_str());
-              ExpectBitwise(conv.Forward(x, /*training=*/false), want_infer,
-                            ("fp32 inference " + at).c_str());
-              conv.SetPrecision(Precision::kInt8);
-              ExpectBitwise(conv.Forward(x, /*training=*/false), want_int8,
-                            ("int8 inference " + at).c_str());
+          } else {
+            k_ends.push_back(ld_w);
+          }
+          std::vector<ops::QuantizedPack> qpacks(
+              static_cast<size_t>(branches));
+          for (int64_t b = 0; b < branches; ++b) {
+            ops::EnsureQuantizedB(
+                true, ld_w, rows_b, conv.weight().data() + b * rows_b * ld_w,
+                ld_w, k_ends, &qpacks[static_cast<size_t>(b)]);
+          }
+          const int64_t oh = (kH + 2 * pad - kernel) / stride + 1;
+          const int64_t ow = (kW + 2 * pad - kernel) / stride + 1;
+          const int64_t area = oh * ow;
+          for (int64_t batch : {1, 3}) {
+            for (double rate : {1.0, 0.5, 0.25}) {
+              conv.SetSliceRate(rate);
+              const int64_t ci = conv.active_in(), co = conv.active_out();
+              const int64_t nb = conv.active_branches();
+              const int64_t cib = ci / nb, cob = co / nb;
+              const int64_t taps = cib * kk;
+              Tensor x = Tensor::Randn({batch, ci, kH, kW}, &rng);
+              Tensor cols({taps, area});
+              Tensor want_train({batch, co, oh, ow});
+              Tensor want_infer({batch, co, oh, ow});
+              Tensor want_int8({batch, co, oh, ow});
+              for (int64_t img = 0; img < batch; ++img) {
+                for (int64_t b = 0; b < nb; ++b) {
+                  ops::Im2Col(x.data() + (img * ci + b * cib) * kH * kW, cib,
+                              kH, kW, kernel, stride, pad, cols.data());
+                  const int64_t at = (img * co + b * cob) * area;
+                  const float* wb = conv.weight().data() + b * rows_b * ld_w;
+                  Epilogue e;
+                  e.bias = conv.bias().data() + b * cob;
+                  e.per_row = true;
+                  ops::GemmRef(false, false, cob, area, taps, 1.0f, wb, ld_w,
+                               cols.data(), area, 0.0f, want_train.data() + at,
+                               area, e);
+                  e.act = EpiAct::kRelu;
+                  ops::GemmRef(false, false, cob, area, taps, 1.0f, wb, ld_w,
+                               cols.data(), area, 0.0f, want_infer.data() + at,
+                               area, e);
+                  ops::GemmQuantizedWeightA(cob, area, taps,
+                                            qpacks[static_cast<size_t>(b)],
+                                            cols.data(), area, 0.0f,
+                                            want_int8.data() + at, area, e);
+                }
+              }
+              const std::string where =
+                  "branches" + std::to_string(branches) + " k" +
+                  std::to_string(kernel) + " s" + std::to_string(stride) +
+                  " p" + std::to_string(pad) + " b" + std::to_string(batch) +
+                  " r" + std::to_string(rate);
+              for (int threads : {1, 2, 4}) {
+                ops::SetComputeThreads(threads);
+                const std::string at = where + " t" + std::to_string(threads);
+                conv.SetPrecision(Precision::kFp32);
+                ExpectBitwise(conv.Forward(x, /*training=*/true), want_train,
+                              ("fp32 training " + at).c_str());
+                ExpectBitwise(conv.Forward(x, /*training=*/false), want_infer,
+                              ("fp32 inference " + at).c_str());
+                conv.SetPrecision(Precision::kInt8);
+                ExpectBitwise(conv.Forward(x, /*training=*/false), want_int8,
+                              ("int8 inference " + at).c_str());
+              }
             }
           }
         }

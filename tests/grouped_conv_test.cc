@@ -1,8 +1,7 @@
 // Gradient checks and branch-semantics tests for the ResNeXt-style grouped
-// convolution under slicing.
+// convolution (Conv2d with branches == slicing groups) under slicing.
 #include "gtest/gtest.h"
 #include "src/nn/conv2d.h"
-#include "src/nn/grouped_conv.h"
 #include "tests/gradcheck_util.h"
 
 namespace ms {
@@ -13,13 +12,14 @@ class GroupedConvGradCheck : public ::testing::TestWithParam<double> {};
 TEST_P(GroupedConvGradCheck, Gradients) {
   const double rate = GetParam();
   Rng rng(41);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 8;
   opts.out_channels = 8;
   opts.kernel = 3;
   opts.pad = 1;
   opts.groups = 4;
-  GroupedConv2d layer(opts, &rng);
+  opts.branches = 4;
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(rate);
   Tensor x = Tensor::Randn({2, layer.active_in(), 5, 5}, &rng);
   testing_util::CheckModuleGradients(&layer, x, 401);
@@ -31,13 +31,14 @@ INSTANTIATE_TEST_SUITE_P(Rates, GroupedConvGradCheck,
 TEST(GroupedConv, BranchesAreIndependent) {
   // Zeroing the input of branch 1 must not change branch 0's output.
   Rng rng(42);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 4;
   opts.out_channels = 4;
   opts.kernel = 3;
   opts.pad = 1;
   opts.groups = 2;
-  GroupedConv2d layer(opts, &rng);
+  opts.branches = 2;
+  Conv2d layer(opts, &rng);
   Tensor x = Tensor::Randn({1, 4, 4, 4}, &rng);
   Tensor y_full = layer.Forward(x, false);
   Tensor x_masked = x;
@@ -50,11 +51,12 @@ TEST(GroupedConv, BranchesAreIndependent) {
 
 TEST(GroupedConv, CostScalesLinearlyInActiveBranches) {
   Rng rng(43);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 16;
   opts.out_channels = 16;
   opts.groups = 4;
-  GroupedConv2d layer(opts, &rng);
+  opts.branches = 4;
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(1.0);
   Tensor x = Tensor::Randn({1, 16, 4, 4}, &rng);
   layer.Forward(x, false);
@@ -65,51 +67,14 @@ TEST(GroupedConv, CostScalesLinearlyInActiveBranches) {
   EXPECT_EQ(layer.FlopsPerSample() * 2, full);
 }
 
-TEST(GroupedConv, OneGroupEqualsDenseConv) {
-  // groups=1 must match a plain Conv2d with the same weights.
-  Rng rng(44);
-  GroupedConv2dOptions gopts;
-  gopts.in_channels = 3;
-  gopts.out_channels = 5;
-  gopts.kernel = 3;
-  gopts.pad = 1;
-  gopts.groups = 1;
-  GroupedConv2d grouped(gopts, &rng);
-
-  Rng rng2(45);
-  Conv2dOptions copts;
-  copts.in_channels = 3;
-  copts.out_channels = 5;
-  copts.kernel = 3;
-  copts.pad = 1;
-  copts.slice_in = false;
-  copts.slice_out = false;
-  Conv2d plain(copts, &rng2);
-  // Copy grouped weights into the plain conv (identical layouts for g=1).
-  std::vector<ParamRef> gp, pp;
-  grouped.CollectParams(&gp);
-  plain.CollectParams(&pp);
-  ASSERT_EQ(gp[0].param->size(), pp[0].param->size());
-  for (int64_t i = 0; i < gp[0].param->size(); ++i) {
-    (*pp[0].param)[i] = (*gp[0].param)[i];
-  }
-
-  Tensor x = Tensor::Randn({2, 3, 6, 6}, &rng);
-  Tensor yg = grouped.Forward(x, false);
-  Tensor yp = plain.Forward(x, false);
-  ASSERT_TRUE(yg.SameShape(yp));
-  for (int64_t i = 0; i < yg.size(); ++i) {
-    EXPECT_NEAR(yg[i], yp[i], 1e-5f);
-  }
-}
-
 TEST(GroupedConvDeathTest, RejectsIndivisibleChannels) {
   Rng rng(46);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 6;
   opts.out_channels = 8;
-  opts.groups = 4;  // 6 % 4 != 0
-  EXPECT_DEATH(GroupedConv2d layer(opts, &rng), "divide by groups");
+  opts.groups = 4;
+  opts.branches = 4;  // 6 % 4 != 0
+  EXPECT_DEATH(Conv2d layer(opts, &rng), "divide by branches");
 }
 
 }  // namespace

@@ -51,6 +51,29 @@ TEST(InvariantsDeathTest, ConvRejectsWrongChannelCount) {
   EXPECT_DEATH(layer.Forward(x, false), "active_in");
 }
 
+// A grad_out with fewer images than the training forward cached would be
+// read out of bounds. The grouped and depthwise shapes check the batch as
+// the plain conv does.
+void ExpectConvBackwardRejectsSmallerBatch(int64_t channels_per_branch) {
+  Rng rng(8);
+  Conv2dOptions opts;
+  opts.in_channels = opts.out_channels = 4 * channels_per_branch;
+  opts.groups = opts.branches = 4;
+  Conv2d layer(opts, &rng);
+  Tensor x = Tensor::Randn({3, opts.in_channels, 4, 4}, &rng);
+  layer.Forward(x, /*training=*/true);
+  Tensor g = Tensor::Randn({1, opts.out_channels, 4, 4}, &rng);
+  EXPECT_DEATH(layer.Backward(g), "MS_CHECK failed");
+}
+
+TEST(InvariantsDeathTest, GroupedConvBackwardRejectsSmallerBatch) {
+  ExpectConvBackwardRejectsSmallerBatch(2);
+}
+
+TEST(InvariantsDeathTest, DepthwiseConvBackwardRejectsSmallerBatch) {
+  ExpectConvBackwardRejectsSmallerBatch(1);
+}
+
 TEST(InvariantsDeathTest, GroupNormRejectsWrongPrefix) {
   NormOptions opts;
   opts.channels = 8;

@@ -6,7 +6,7 @@
 #include "src/core/evaluator.h"
 #include "src/core/trainer.h"
 #include "src/models/cnn.h"
-#include "src/nn/depthwise_conv.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/embedding.h"
 #include "src/nn/gru.h"
 #include "src/nn/lstm.h"
@@ -56,29 +56,29 @@ TEST_P(ExtraLayerGradCheck, GruInputUnsliced) {
 TEST_P(ExtraLayerGradCheck, DepthwiseConv) {
   const double rate = GetParam();
   Rng rng(33);
-  DepthwiseConv2dOptions opts;
-  opts.channels = 8;
+  Conv2dOptions opts;
+  opts.in_channels = opts.out_channels = opts.branches = 8;
   opts.kernel = 3;
   opts.pad = 1;
   opts.groups = 4;
-  DepthwiseConv2d layer(opts, &rng);
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(rate);
-  Tensor x = Tensor::Randn({2, layer.active_channels(), 5, 5}, &rng);
+  Tensor x = Tensor::Randn({2, layer.active_in(), 5, 5}, &rng);
   CheckModuleGradients(&layer, x, 203);
 }
 
 TEST_P(ExtraLayerGradCheck, DepthwiseConvStrided) {
   const double rate = GetParam();
   Rng rng(34);
-  DepthwiseConv2dOptions opts;
-  opts.channels = 8;
+  Conv2dOptions opts;
+  opts.in_channels = opts.out_channels = opts.branches = 8;
   opts.kernel = 3;
   opts.stride = 2;
   opts.pad = 1;
   opts.groups = 4;
-  DepthwiseConv2d layer(opts, &rng);
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(rate);
-  Tensor x = Tensor::Randn({2, layer.active_channels(), 6, 6}, &rng);
+  Tensor x = Tensor::Randn({2, layer.active_in(), 6, 6}, &rng);
   CheckModuleGradients(&layer, x, 204);
 }
 
@@ -89,10 +89,10 @@ TEST(DepthwiseConv, CostScalesLinearlyWithRate) {
   // Unlike dense/conv layers (O(r^2)), depthwise cost is O(r): one filter
   // per channel (paper Sec. 3.5's multi-branch suitability).
   Rng rng(35);
-  DepthwiseConv2dOptions opts;
-  opts.channels = 16;
+  Conv2dOptions opts;
+  opts.in_channels = opts.out_channels = opts.branches = 16;
   opts.groups = 8;
-  DepthwiseConv2d layer(opts, &rng);
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(1.0);
   Tensor x = Tensor::Randn({1, 16, 6, 6}, &rng);
   layer.Forward(x, false);

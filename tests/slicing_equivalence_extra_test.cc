@@ -3,9 +3,8 @@
 // what standalone layers holding the prefix filters compute, and the GRU
 // must match its prefix-copied counterpart.
 #include "gtest/gtest.h"
-#include "src/nn/depthwise_conv.h"
+#include "src/nn/conv2d.h"
 #include "src/nn/gru.h"
-#include "src/nn/grouped_conv.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -16,20 +15,20 @@ class SliceEquivalenceExtra : public ::testing::TestWithParam<double> {};
 TEST_P(SliceEquivalenceExtra, DepthwiseMatchesPrefixFilters) {
   const double rate = GetParam();
   Rng rng(1);
-  DepthwiseConv2dOptions big_opts;
-  big_opts.channels = 8;
+  Conv2dOptions big_opts;
+  big_opts.in_channels = big_opts.out_channels = big_opts.branches = 8;
   big_opts.kernel = 3;
   big_opts.pad = 1;
   big_opts.groups = 4;
-  DepthwiseConv2d big(big_opts, &rng, "big");
+  Conv2d big(big_opts, &rng, "big");
   big.SetSliceRate(rate);
-  const int64_t c = big.active_channels();
+  const int64_t c = big.active_in();
 
   Rng rng2(2);
-  DepthwiseConv2dOptions small_opts = big_opts;
-  small_opts.channels = c;
+  Conv2dOptions small_opts = big_opts;
+  small_opts.in_channels = small_opts.out_channels = small_opts.branches = c;
   small_opts.groups = 1;
-  DepthwiseConv2d small(small_opts, &rng2, "small");
+  Conv2d small(small_opts, &rng2, "small");
   std::vector<ParamRef> bp, sp;
   big.CollectParams(&bp);
   small.CollectParams(&sp);
@@ -49,27 +48,29 @@ TEST_P(SliceEquivalenceExtra, DepthwiseMatchesPrefixFilters) {
 TEST_P(SliceEquivalenceExtra, GroupedConvMatchesPrefixBranches) {
   const double rate = GetParam();
   Rng rng(3);
-  GroupedConv2dOptions big_opts;
+  Conv2dOptions big_opts;
   big_opts.in_channels = 8;
   big_opts.out_channels = 16;
   big_opts.kernel = 3;
   big_opts.pad = 1;
   big_opts.groups = 4;
-  GroupedConv2d big(big_opts, &rng, "big");
+  big_opts.branches = 4;
+  Conv2d big(big_opts, &rng, "big");
   big.SetSliceRate(rate);
-  const int64_t k = big.active_groups();
+  const int64_t k = big.active_branches();
 
   Rng rng2(4);
-  GroupedConv2dOptions small_opts = big_opts;
+  Conv2dOptions small_opts = big_opts;
   small_opts.in_channels = k * 2;   // in_per_group = 2
   small_opts.out_channels = k * 4;  // out_per_group = 4
   small_opts.groups = k;
-  GroupedConv2d small(small_opts, &rng2, "small");
+  small_opts.branches = k;
+  Conv2d small(small_opts, &rng2, "small");
   std::vector<ParamRef> bp, sp;
   big.CollectParams(&bp);
   small.CollectParams(&sp);
-  // Weight layout (groups, out_pg, in_pg*9): the prefix of branches copies
-  // contiguously.
+  // Weight layout (out, in_pg*9), branch-major rows: the prefix of
+  // branches copies contiguously.
   ASSERT_LE(sp[0].param->size(), bp[0].param->size());
   for (int64_t i = 0; i < sp[0].param->size(); ++i) {
     (*sp[0].param)[i] = (*bp[0].param)[i];
